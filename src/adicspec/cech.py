@@ -16,7 +16,7 @@ on the polynomial window of degree <= N.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -386,38 +386,44 @@ def render_presheaf_text(P: FinitePresheaf) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in zeta over Q
+# Laurent polynomials in zeta over Q[T]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Laurent polynomial in zeta with rational coefficients; coeffs is a
-    sorted tuple of (degree, value) pairs with no zero values."""
+    """Laurent polynomial in zeta with coefficients in Q[T]; coeffs is a
+    sorted tuple of (degree, coefficient) pairs with no zero coefficient,
+    each coefficient a sorted tuple of (T-degree, Fraction) pairs."""
 
     coeffs: tuple
 
     def as_dict(self) -> dict:
-        return dict(self.coeffs)
+        """zeta-degree -> coefficient as a polys dict."""
+        return {d: dict(c) for d, c in self.coeffs}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
 
 def laurent(coeffs: dict) -> LaurentPoly:
-    items = tuple(sorted((int(d), Fraction(v)) for d, v in coeffs.items()
-                         if Fraction(v) != 0))
-    return LaurentPoly(items)
+    """Laurent polynomial from zeta-degree -> coefficient, where each
+    coefficient is a rational constant or a polys dict in T."""
+    items = ((int(d), normalize(v if isinstance(v, dict) else {0: v}))
+             for d, v in coeffs.items())
+    return LaurentPoly(tuple(sorted((d, tuple(sorted(c.items())))
+                                    for d, c in items if c)))
 
 
 def laurent_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out = a.as_dict()
-    for d, v in b.coeffs:
-        out[d] = out.get(d, Fraction(0)) + v
+    for d, c in b.coeffs:
+        out[d] = poly_add(out.get(d, {}), dict(c))
     return laurent(out)
 
 
 def laurent_neg(a: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(tuple((d, -v) for d, v in a.coeffs))
+    return LaurentPoly(tuple((d, tuple((k, -v) for k, v in c))
+                             for d, c in a.coeffs))
 
 
 def laurent_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -426,16 +432,17 @@ def laurent_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out = {}
-    for da, va in a.coeffs:
-        for db, vb in b.coeffs:
+    for da, ca in a.coeffs:
+        pa = dict(ca)
+        for db, cb in b.coeffs:
             d = da + db
-            out[d] = out.get(d, Fraction(0)) + va * vb
+            out[d] = poly_add(out.get(d, {}), poly_mul(pa, dict(cb)))
     return laurent(out)
 
 
 def laurent_invert_variable(a: LaurentPoly) -> LaurentPoly:
     """Substitute zeta -> zeta^{-1}."""
-    return laurent({-d: v for d, v in a.coeffs})
+    return LaurentPoly(tuple(sorted((-d, c) for d, c in a.coeffs)))
 
 
 def lambda_map(g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
@@ -446,58 +453,14 @@ def lambda_map(g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
 def laurent_split(L: LaurentPoly):
     """Split L into (g, h) with lambda(g, h) = L: g is the part of L in
     non-negative degrees and h = -(negative part) re-indexed in eta."""
-    g = laurent({d: v for d, v in L.coeffs if d >= 0})
-    h = laurent({-d: -v for d, v in L.coeffs if d < 0})
-    return g, h
-
-
-def render_laurent(a: LaurentPoly, var: str = "z") -> str:
-    if a.is_zero():
-        return "0"
-    parts = []
-    for d, v in sorted(a.coeffs, reverse=True):
-        if d == 0:
-            term = str(v)
-        else:
-            power = var if d == 1 else f"{var}^{d}"
-            if v == 1:
-                term = power
-            elif v == -1:
-                term = f"-{power}"
-            else:
-                term = f"{v}*{power}"
-        parts.append(term)
-    text = parts[0]
-    for term in parts[1:]:
-        text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return text
+    g = LaurentPoly(tuple((d, c) for d, c in L.coeffs if d >= 0))
+    h = LaurentPoly(tuple((d, c) for d, c in L.coeffs if d < 0))
+    return g, laurent_invert_variable(laurent_neg(h))
 
 
 # ---------------------------------------------------------------------------
 # Laurent-cover exactness check
 # ---------------------------------------------------------------------------
-
-def _bivariate_mul(a: dict, b: dict) -> dict:
-    """Multiply Laurent polynomials in zeta whose coefficients are
-    polynomials in T (dicts degree -> Fraction)."""
-    out = {}
-    for da, pa in a.items():
-        for db, pb in b.items():
-            d = da + db
-            out[d] = poly_add(out.get(d, {}), poly_mul(pa, pb))
-    return {d: normalize(p) for d, p in out.items() if normalize(p)}
-
-
-def _bivariate_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, p in b.items():
-        out[d] = poly_add(out.get(d, {}), p)
-    return {d: p for d, p in ((d, normalize(p)) for d, p in out.items()) if p}
-
-
-def _bivariate_eq(a: dict, b: dict) -> bool:
-    return _bivariate_add(a, {d: poly_neg(p) for d, p in b.items()}) == {}
-
 
 @dataclass(frozen=True)
 class ExactnessReport:
@@ -525,23 +488,10 @@ class ExactnessReport:
                 and self.identities_ok and self.preimages_ok)
 
     def as_dict(self) -> dict:
-        return {
-            "f": self.f_text,
-            "N": self.N,
-            "prime": self.prime,
-            "domain_dim": self.domain_dim,
-            "codomain_dim": self.codomain_dim,
-            "lambda_rank": self.lambda_rank,
-            "kernel_dim": self.kernel_dim,
-            "kernel_is_diagonal": self.kernel_is_diagonal,
-            "surjective": self.surjective,
-            "identities_checked": self.identities_checked,
-            "identities_ok": self.identities_ok,
-            "preimages_checked": self.preimages_checked,
-            "preimages_ok": self.preimages_ok,
-            "exact": self.exact,
-            "notes": list(self.notes),
-        }
+        out = asdict(self)
+        out["f"] = out.pop("f_text")
+        out.update(exact=self.exact, notes=list(self.notes))
+        return out
 
     def render_text(self) -> str:
         lines = [
@@ -586,58 +536,45 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     if N < deg_f + 2:
         raise TruncationTooSmall(f"need N >= deg(f) + 2 = {deg_f + 2}")
 
-    # lambda over the monomial basis: columns are z^0..z^N then
-    # eta^0..eta^N, rows are z^d for d in [-N, N].
+    # lambda over the monomial basis: columns are the images of
+    # (z^0, 0)..(z^N, 0) then (0, eta^0)..(0, eta^N), rows are z^d for
+    # d in [-N, N]; every image is a constant monomial.
     dom = 2 * (N + 1)
     cod = 2 * N + 1
-    zero = Fraction(0)
-    matrix = [[zero] * dom for _ in range(cod)]
-    for j in range(N + 1):
-        matrix[N + j][j] = Fraction(1)            # g-part: z^j
-        matrix[N - j][N + 1 + j] = Fraction(-1)   # h-part: -z^{-j}
+    zero, one = laurent({}), laurent({0: 1})
+    basis = [laurent({j: 1}) for j in range(N + 1)]
+    images = ([lambda_map(b, zero).as_dict() for b in basis]
+              + [lambda_map(zero, b).as_dict() for b in basis])
+    matrix = [[im.get(d, {0: Fraction(0)})[0] for im in images]
+              for d in range(-N, N + 1)]
     lam_rank = rank(matrix)
     kernel_dim = dom - lam_rank
-    diagonal = [Fraction(0)] * dom
-    diagonal[0] = diagonal[N + 1] = Fraction(1)   # (g, h) = (1, 1)
-    diag_in_kernel = all(
-        sum((row[c] * diagonal[c] for c in range(dom)), Fraction(0)) == 0
-        for row in matrix)
-    kernel_is_diagonal = kernel_dim == 1 and diag_in_kernel
+    kernel_is_diagonal = kernel_dim == 1 and lambda_map(one, one).is_zero()
     surjective = lam_rank == cod
 
-    # check 3: exact identities with polynomial coefficients in T
-    f_minus_z = {0: dict(fpoly), 1: {0: Fraction(-1)}}
-    one_minus_f_eta = {0: {0: Fraction(1)}, -1: poly_neg(fpoly)}
-    identities_ok = True
-    for m in range(1, N + 1):
-        lhs = _bivariate_mul(f_minus_z, {-m: {0: Fraction(1)}})
-        rhs = _bivariate_mul(one_minus_f_eta, {-(m - 1): {0: Fraction(-1)}})
-        if not _bivariate_eq(lhs, rhs):
-            identities_ok = False
-            break
+    # check 3: (f - z) * z^{-m} = -(1 - f*eta) * eta^{m-1} holds exactly
+    # iff lambda sends the pair (left side, right side in eta) to zero
+    f_minus_z = laurent({0: fpoly, 1: -1})
+    one_minus_f_eta = laurent({0: 1, 1: poly_neg(fpoly)})
+    identities_ok = all(lambda_map(
+        laurent_mul(f_minus_z, laurent({-m: 1})),
+        laurent_mul(one_minus_f_eta, laurent({m - 1: -1}))).is_zero()
+        for m in range(1, N + 1))
 
-    # random (f - z)-multiples: build the preimage from the splitting and
-    # the identities, then re-apply lambda' and compare exactly
+    # random (f - z)-multiples (f - z) * L: with (g, h) = split(L), the
+    # identities make (f - z) * g and (f - 1/eta) * h = -(1 - f*eta) * h/eta
+    # a preimage under lambda'; re-apply lambda and compare exactly
+    f_minus_inv_eta = laurent_invert_variable(f_minus_z)
     rng = random.Random(20230 + deg_f)
     preimages = 20
     preimages_ok = True
     for _ in range(preimages):
-        L = {d: {0: Fraction(rng.randint(-5, 5))}
-             for d in range(-(N - 1), N - deg_f)
-             if rng.random() < 0.4}
-        L = {d: p for d, p in L.items() if normalize(p)}
-        target = _bivariate_mul(f_minus_z, L)
-        g_part = _bivariate_mul(f_minus_z,
-                                {d: p for d, p in L.items() if d >= 0})
-        h_part = {}
-        for d, p in L.items():
-            if d < 0:
-                term = _bivariate_mul(one_minus_f_eta, {-(-d - 1): p})
-                h_part = _bivariate_add(h_part, term)
-        # lambda'(g, h) = g(z) - h(1/z); h_part is already written in z
-        applied = _bivariate_add(
-            g_part, {d: poly_neg(p) for d, p in h_part.items()})
-        if not _bivariate_eq(applied, target):
+        L = laurent({d: rng.randint(-5, 5) for d in range(-(N - 1), N - deg_f)
+                     if rng.random() < 0.4})
+        g, h = laurent_split(L)
+        applied = lambda_map(laurent_mul(f_minus_z, g),
+                             laurent_mul(f_minus_inv_eta, h))
+        if applied != laurent_mul(f_minus_z, L):
             preimages_ok = False
             break
 

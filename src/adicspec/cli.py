@@ -301,7 +301,11 @@ def group(op: str, operands, group_text: str, fmt: str) -> None:
     elif op == "pow":
         need(2)
         a = ordgroup.parse_element(G, operands[0])
-        text = ordgroup.render_element(ordgroup.group_pow(a, int(operands[1])))
+        try:
+            n = int(operands[1])
+        except ValueError as exc:
+            raise ParseError(f"bad exponent {operands[1]!r}") from exc
+        text = ordgroup.render_element(ordgroup.group_pow(a, n))
     elif op == "cmp":
         need(2)
         a, b = (ordgroup.parse_element(G, t) for t in operands)

@@ -69,6 +69,10 @@ class UnsupportedRing(AdicError):
     code = "unsupported-ring"
 
 
+class NotAPreorder(AdicError):
+    code = "not-a-preorder"
+
+
 class NotASpecialization(AdicError):
     code = "not-a-specialization"
 

@@ -62,25 +62,12 @@ def rank(matrix) -> int:
     return r
 
 
-def kernel_dim(matrix, ncols: int) -> int:
-    return ncols - rank(matrix)
-
-
-def mat_vec(matrix, vec):
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vec)),
-                Fraction(0)) for row in matrix]
-
-
 def mat_mul(a, b):
     if not a or not b:
         return []
     cols = list(zip(*b))
     return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
                  Fraction(0)) for col in cols] for row in a]
-
-
-def is_zero_matrix(matrix) -> bool:
-    return all(x == 0 for row in matrix for x in row)
 
 
 def identity(n):

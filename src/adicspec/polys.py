@@ -15,10 +15,6 @@ def normalize(coeffs: dict) -> dict:
     return {d: Fraction(c) for d, c in coeffs.items() if c != 0}
 
 
-def poly_zero() -> dict:
-    return {}
-
-
 def poly_const(c) -> dict:
     return normalize({0: Fraction(c)})
 

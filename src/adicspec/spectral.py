@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotASpecialization, NotKolmogorov, UnknownPoint, UnsupportedRing
+from .errors import (NotAPreorder, NotASpecialization, NotKolmogorov,
+                     UnknownPoint, UnsupportedRing)
 from .ordgroup import ConvexSubgroup, full_subgroup, trivial_subgroup
 from .valuation import (
     BaseRing,
@@ -36,11 +37,13 @@ class FiniteSpace:
             if x not in pts or y not in pts:
                 raise UnknownPoint(f"({x}, {y})")
         for x in self.points:
-            assert (x, x) in self.order, "order must be reflexive"
+            if (x, x) not in self.order:
+                raise NotAPreorder(f"order is not reflexive at {x}")
         for x, y in self.order:
             for y2, z in self.order:
-                if y2 == y:
-                    assert (x, z) in self.order, "order must be transitive"
+                if y2 == y and (x, z) not in self.order:
+                    raise NotAPreorder(
+                        f"order is not transitive: ({x}, {y}), ({y}, {z})")
 
 
 def finite_space(points, pairs) -> FiniteSpace:
@@ -114,7 +117,8 @@ def constructible_sets(X: FiniteSpace):
     for x in X.points:
         up = frozenset(y for y in X.points if (x, y) in X.order)
         down = closure(X, {x})
-        assert up & down == {x}
+        if up & down != {x}:
+            raise NotAPreorder(f"order is not antisymmetric at {x}")
         trace.append((x, up, down))
     return 2 ** len(X.points), trace
 

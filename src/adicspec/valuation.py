@@ -84,17 +84,6 @@ def finite_field(p: int) -> BaseRing:
     return BaseRing(RingKind.FINITE_FIELD, p)
 
 
-def ring_zero(ring: BaseRing):
-    k = ring.kind
-    if k is RingKind.INTEGERS_Z or k is RingKind.FINITE_FIELD:
-        return 0
-    if k is RingKind.RATIONALS_Q:
-        return Fraction(0)
-    if k is RingKind.POLY_OVER_Q:
-        return {}
-    return ({}, polys.poly_const(1))
-
-
 def ratfunc(num: dict, den: dict):
     """Reduced representative with monic denominator."""
     if polys.is_zero(den):
@@ -117,40 +106,6 @@ def ring_is_zero(ring: BaseRing, a) -> bool:
     if k is RingKind.RATFUNC_Q:
         return polys.is_zero(a[0])
     return a == 0
-
-
-def ring_add(ring: BaseRing, a, b):
-    k = ring.kind
-    if k is RingKind.FINITE_FIELD:
-        return (a + b) % ring.p
-    if k is RingKind.POLY_OVER_Q:
-        return polys.poly_add(a, b)
-    if k is RingKind.RATFUNC_Q:
-        num = polys.poly_add(polys.poly_mul(a[0], b[1]), polys.poly_mul(b[0], a[1]))
-        return ratfunc(num, polys.poly_mul(a[1], b[1]))
-    return a + b
-
-
-def ring_mul(ring: BaseRing, a, b):
-    k = ring.kind
-    if k is RingKind.FINITE_FIELD:
-        return (a * b) % ring.p
-    if k is RingKind.POLY_OVER_Q:
-        return polys.poly_mul(a, b)
-    if k is RingKind.RATFUNC_Q:
-        return ratfunc(polys.poly_mul(a[0], b[0]), polys.poly_mul(a[1], b[1]))
-    return a * b
-
-
-def ring_neg(ring: BaseRing, a):
-    k = ring.kind
-    if k is RingKind.FINITE_FIELD:
-        return (-a) % ring.p
-    if k is RingKind.POLY_OVER_Q:
-        return polys.poly_neg(a)
-    if k is RingKind.RATFUNC_Q:
-        return (polys.poly_neg(a[0]), a[1])
-    return -a
 
 
 class IdealKind(Enum):
@@ -601,10 +556,12 @@ def parse_ideal(text: str, ring: BaseRing) -> IdealOfDefinition:
         if ring.kind is RingKind.POLY_OVER_Q:
             from .tate import parse_series
             gens.append(parse_series(part, 2).as_dict())
-        elif ring.kind is RingKind.RATIONALS_Q:
-            gens.append(Fraction(part))
         else:
-            gens.append(int(part))
+            try:
+                gens.append(Fraction(part) if ring.kind is RingKind.RATIONALS_Q
+                            else int(part))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad ideal generator {part!r}") from exc
     return IdealOfDefinition(ring, tuple(gens))
 
 

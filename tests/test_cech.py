@@ -1,9 +1,13 @@
 """Cech complexes, quasi-isomorphism, Laurent splitting and exactness."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicspec.cech import (
     alternating_subcomplex,
@@ -14,6 +18,9 @@ from adicspec.cech import (
     function_presheaf,
     lambda_map,
     laurent,
+    laurent_add,
+    laurent_invert_variable,
+    laurent_mul,
     laurent_split,
     parse_presheaf_text,
     presheaf,
@@ -153,6 +160,58 @@ class TestLaurentSplit:
         for c in (1, Fraction(-3, 7), 5):
             assert lambda_map(laurent({0: c}), laurent({0: c})).is_zero()
 
+    def test_polynomial_coefficients(self):
+        # coefficients live in Q[T]: (T + z)(T - z) = T^2 - z^2
+        a = laurent({0: {1: 1}, 1: 1})
+        b = laurent({0: {1: 1}, 1: -1})
+        assert laurent_mul(a, b) == laurent({0: {2: 1}, 2: -1})
+        g, h = laurent_split(laurent({-1: {1: 2}, 0: {0: 3}}))
+        assert g == laurent({0: 3}) and h == laurent({1: {1: -2}})
+
+
+# Laurent polynomials in zeta over Q[T]: small degrees and small rationals
+# keep every product cheap
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_coefficients = st.dictionaries(st.integers(0, 3), _rationals, max_size=3)
+_laurents = st.dictionaries(st.integers(-4, 4), _coefficients,
+                            max_size=4).map(laurent)
+_law_settings = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=60)
+
+
+class TestLaurentLaws:
+    @_law_settings
+    @given(_laurents)
+    def test_split_is_a_section_of_lambda(self, L):
+        g, h = laurent_split(L)
+        assert lambda_map(g, h) == L
+        assert all(d >= 0 for d, _ in g.coeffs)
+        assert all(d >= 1 for d, _ in h.coeffs)
+
+    @_law_settings
+    @given(_laurents, _laurents)
+    def test_mul_commutative(self, a, b):
+        assert laurent_mul(a, b) == laurent_mul(b, a)
+
+    @_law_settings
+    @given(_laurents, _laurents, _laurents)
+    def test_mul_associative(self, a, b, c):
+        assert (laurent_mul(laurent_mul(a, b), c)
+                == laurent_mul(a, laurent_mul(b, c)))
+
+    @_law_settings
+    @given(_laurents, _laurents, _laurents)
+    def test_mul_distributes_over_add(self, a, b, c):
+        assert (laurent_mul(a, laurent_add(b, c))
+                == laurent_add(laurent_mul(a, b), laurent_mul(a, c)))
+
+    @_law_settings
+    @given(_laurents, _laurents)
+    def test_invert_variable_is_multiplicative_involution(self, a, b):
+        inv = laurent_invert_variable
+        assert inv(inv(a)) == a
+        assert inv(laurent_mul(a, b)) == laurent_mul(inv(a), inv(b))
+
 
 class TestLaurentExactness:
     @pytest.mark.parametrize("ftext", ["T", "5*T+1", "T^2-5"])
@@ -169,6 +228,18 @@ class TestLaurentExactness:
     def test_truncation_too_small(self):
         with pytest.raises(TruncationTooSmall):
             check_laurent_exactness(parse_series("T^2-5", 5), 3)
+
+    @pytest.mark.parametrize(
+        "case", json.loads((Path(__file__).parent / "data"
+                            / "laurent_reports.json").read_text()),
+        ids=lambda case: f"{case['f']}-N{case['N']}")
+    def test_report_pinned(self, case):
+        # as_dict() and render_text() of reports computed by the earlier
+        # implementation with a bivariate dict-of-dicts and a hand-built
+        # lambda matrix, for p = 5 and N = deg(f) + 2, 20 and 60
+        rep = check_laurent_exactness(parse_series(case["f"], 5), case["N"])
+        assert rep.as_dict() == case["as_dict"]
+        assert rep.render_text() == case["text"]
 
     def test_report_renders(self):
         rep = check_laurent_exactness(parse_series("T", 2), 5)

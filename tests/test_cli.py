@@ -209,6 +209,12 @@ class TestGroup:
         res = run("group", "mul", "1", "--group", "posq")
         assert res.exit_code == 2
 
+    def test_pow_non_integer_exponent_parse_error(self):
+        res = run("group", "pow", "1/2", "3/7", "--group", "posq")
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error[parse-error]")
+
 
 class TestRetract:
     def test_padic_fixed(self):
@@ -226,6 +232,13 @@ class TestRetract:
                   "--ring", "Z", "--format", "structured")
         data = json.loads(res.output)
         assert data["retract"] == "trivial:0"
+
+    def test_non_integer_generator_parse_error(self):
+        res = run("retract", "--valuation", "padic:5", "--ideal", "(1/2)",
+                  "--ring", "Z")
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error[parse-error]")
 
 
 class TestDeterminism:

@@ -1,10 +1,22 @@
 """Finite spectral spaces and the enumerated valuation spectra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from adicspec.errors import NotASpecialization, NotKolmogorov, UnknownPoint, UnsupportedRing
+from adicspec.errors import (
+    NotAPreorder,
+    NotASpecialization,
+    NotKolmogorov,
+    UnknownPoint,
+    UnsupportedRing,
+)
 from adicspec.ordgroup import is_full_subgroup, is_trivial_subgroup
 from adicspec.spectral import (
+    FiniteSpace,
     closure,
     constructible_sets,
     factor_specialization,
@@ -69,6 +81,32 @@ class TestFiniteSpace:
         bad = finite_space(["x", "y"], [("x", "y"), ("y", "x")])
         with pytest.raises(NotKolmogorov):
             constructible_sets(bad)
+
+    def test_non_reflexive_order_rejected(self):
+        with pytest.raises(NotAPreorder):
+            FiniteSpace(("x", "y"), frozenset({("x", "x")}))
+
+    def test_non_transitive_order_rejected(self):
+        pairs = {(x, x) for x in "abc"} | {("a", "b"), ("b", "c")}
+        with pytest.raises(NotAPreorder) as info:
+            FiniteSpace(tuple("abc"), frozenset(pairs))
+        assert info.value.code == "not-a-preorder"
+
+    def test_non_transitive_order_rejected_under_optimize(self):
+        # the check must not vanish with assertions under python -O
+        code = ("from adicspec.errors import NotAPreorder\n"
+                "from adicspec.spectral import FiniteSpace\n"
+                "pairs = {(x, x) for x in 'abc'} | {('a', 'b'), ('b', 'c')}\n"
+                "try:\n"
+                "    FiniteSpace(tuple('abc'), frozenset(pairs))\n"
+                "except NotAPreorder as exc:\n"
+                "    print(exc.code)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "not-a-preorder"
 
 
 class TestSpvEnumerate:
