@@ -4,7 +4,8 @@ A finite presheaf is given by explicit data: a cover size n, a rational
 vector-space dimension for every nonempty subset of cover indices, and a
 restriction matrix for every one-step inclusion of subsets.  From this
 the full cochain complex (all index tuples) and the alternating
-subcomplex (strictly increasing tuples) are built with exact matrices,
+subcomplex (strictly increasing tuples) are built as integer matrices,
+every differential scaled by one common denominator of the restrictions,
 and cohomology dimensions are computed by fraction-free elimination.
 
 The module also carries the concrete Laurent-cover exactness check: for
@@ -16,14 +17,17 @@ on the polynomial window of degree <= N.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 
 from .errors import (
     NonFunctorialPresheaf,
     NotAComplex,
     ParseError,
+    TooLarge,
     TruncationTooSmall,
     ZeroSeries,
 )
@@ -48,37 +52,19 @@ class FinitePresheaf:
     n: int
     dims: dict
     res: dict
-    _composites: dict = field(default_factory=dict, repr=False)
 
     def dim(self, S) -> int:
         return self.dims[frozenset(S)]
 
-    def restriction(self, S, Sp):
-        """Composite restriction F(U_S) -> F(U_S') for S a subset of S'.
-
-        All one-step chains from S to S' must give the same matrix;
-        otherwise the presheaf is not functorial.
-        """
-        S, Sp = frozenset(S), frozenset(Sp)
-        if not S <= Sp:
-            raise NonFunctorialPresheaf(f"{set(S)} is not a subset of {set(Sp)}")
-        if S == Sp:
-            return identity(self.dims[S])
-        key = (S, Sp)
-        if key in self._composites:
-            return self._composites[key]
-        result = None
-        for t in sorted(Sp - S):
-            mid = S | {t}
-            cand = mat_mul(self.restriction(mid, Sp), self.res[(S, mid)])
-            if result is None:
-                result = cand
-            elif cand != result:
-                raise NonFunctorialPresheaf(
-                    f"restrictions {set(S)} -> {set(Sp)} disagree along "
-                    f"different chains")
-        self._composites[key] = result
-        return result
+    @cached_property
+    def integer_res(self):
+        """(D, res scaled by D as int rows), D the lcm of the denominators
+        of every one-step restriction (1 for integer restrictions)."""
+        scale = lcm(*(x.denominator for m in self.res.values()
+                      for row in m for x in row))
+        return scale, {key: [[x.numerator * (scale // x.denominator)
+                              for x in row] for row in m]
+                       for key, m in self.res.items()}
 
 
 def _subsets(n: int):
@@ -109,13 +95,23 @@ def presheaf(n: int, dims: dict, res: dict) -> FinitePresheaf:
             if len(m) != dims[Sp] or any(len(row) != dims[S] for row in m):
                 raise NonFunctorialPresheaf(
                     f"restriction {set(S)} -> {set(Sp)} has wrong shape")
-    P = FinitePresheaf(n, dims, res)
-    # force every composite, which checks chain independence
+    # all chains of one-step restrictions between two index sets give the
+    # same composite exactly when every square of them commutes
     for S in _subsets(n):
-        for Sp in _subsets(n):
-            if S < Sp:
-                P.restriction(S, Sp)
-    return P
+        for t, u in combinations(sorted(set(range(n)) - S), 2):
+            top = S | {t, u}
+            if _via(dims, res, S, t, top) != _via(dims, res, S, u, top):
+                raise NonFunctorialPresheaf(
+                    f"restrictions {set(S)} -> {set(top)} disagree along "
+                    f"different chains")
+    return FinitePresheaf(n, dims, res)
+
+
+def _via(dims, res, S, t, top):
+    """res(S + t -> top) o res(S -> S + t) as a dims[top] x dims[S] matrix."""
+    mid = S | {t}
+    return (mat_mul(res[(mid, top)], res[(S, mid)])
+            or [[0] * dims[S]] * dims[top])
 
 
 def constant_presheaf(n: int, dim: int) -> FinitePresheaf:
@@ -186,11 +182,17 @@ def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
 @dataclass(frozen=True)
 class CechComplex:
     """Spaces C^0..C^qmax (plus the buffer dimension of C^{qmax+1}) and
-    differentials d^q: C^q -> C^{q+1} for q = 0..qmax."""
+    differentials d^q: C^q -> C^{q+1} for q = 0..qmax.  Construction
+    checks that every d^{q+1} o d^q vanishes."""
 
     spaces: tuple          # dims of C^0 .. C^qmax
     buffer_dim: int        # dim of C^{qmax+1}
-    diffs: tuple           # d^0 .. d^qmax as dense row matrices
+    diffs: tuple           # d^0 .. d^qmax as dense rows of ints
+
+    def __post_init__(self):
+        for q in range(len(self.diffs) - 1):
+            if not _compose_is_zero(self.diffs[q + 1], self.diffs[q]):
+                raise NotAComplex(f"d^{q + 1} o d^{q} != 0")
 
 
 def tuple_sign(t) -> int:
@@ -218,52 +220,45 @@ def _layout(P: FinitePresheaf, tuples):
 
 
 def _differential(P: FinitePresheaf, q: int, alternating: bool):
+    """d^q times the common denominator D of the restrictions, as dense
+    int rows.  A face sigma of tau spans the same index set (D times the
+    identity) or one index fewer (a one-step restriction)."""
     src = _degree_tuples(P.n, q, alternating)
     dst = _degree_tuples(P.n, q + 1, alternating)
     src_off, src_dim = _layout(P, src)
     dst_off, dst_dim = _layout(P, dst)
-    zero = Fraction(0)
-    matrix = [[zero] * src_dim for _ in range(dst_dim)]
+    scale, res = P.integer_res
+    matrix = [[0] * src_dim for _ in range(dst_dim)]
     for tau in dst:
         S_tau = frozenset(tau)
-        d_tau = P.dims[S_tau]
-        if d_tau == 0:
-            continue
         r0 = dst_off[tau]
         for j in range(len(tau)):
             sigma = tau[:j] + tau[j + 1:]
-            d_sigma = P.dims[frozenset(sigma)]
-            if d_sigma == 0:
-                continue
-            sign = Fraction(-1 if j % 2 else 1)
-            R = P.restriction(frozenset(sigma), S_tau)
+            S_sigma = frozenset(sigma)
+            sign = -1 if j % 2 else 1
             c0 = src_off[sigma]
-            for r in range(d_tau):
+            if S_sigma == S_tau:
+                for r in range(P.dims[S_tau]):
+                    matrix[r0 + r][c0 + r] += sign * scale
+                continue
+            for r, R_row in enumerate(res[(S_sigma, S_tau)]):
                 row = matrix[r0 + r]
-                Rr = R[r]
-                for c in range(d_sigma):
-                    row[c0 + c] += sign * Rr[c]
+                for c, x in enumerate(R_row):
+                    row[c0 + c] += sign * x
     return matrix, src_dim, dst_dim
 
 
-def _nonzero_cols(matrix):
-    cols = {}
-    for r, row in enumerate(matrix):
-        for c, v in enumerate(row):
-            if v != 0:
-                cols.setdefault(c, []).append((r, v))
-    return cols
-
-
 def _compose_is_zero(d_next, d_prev) -> bool:
-    by_col_next = _nonzero_cols(d_next)
-    by_col_prev = _nonzero_cols(d_prev)
-    for c, entries in by_col_prev.items():
+    """Whether d_next o d_prev = 0, each row of the product summed from
+    the nonzero entries of d_prev's rows."""
+    prev = [[(c, v) for c, v in enumerate(row) if v] for row in d_prev]
+    for row in d_next:
         acc = {}
-        for k, v in entries:
-            for r, w in by_col_next.get(k, ()):
-                acc[r] = acc.get(r, Fraction(0)) + w * v
-        if any(x != 0 for x in acc.values()):
+        for w, prev_row in zip(row, prev):
+            if w:
+                for c, v in prev_row:
+                    acc[c] = acc.get(c, 0) + w * v
+        if any(acc.values()):
             return False
     return True
 
@@ -275,11 +270,7 @@ def _build(P: FinitePresheaf, qmax: int, alternating: bool) -> CechComplex:
         matrix, src_dim, dst_dim = _differential(P, q, alternating)
         spaces.append(src_dim)
         diffs.append(tuple(tuple(row) for row in matrix))
-    buffer_dim = dst_dim
-    for q in range(qmax):
-        if not _compose_is_zero(diffs[q + 1], diffs[q]):
-            raise NotAComplex(f"d^{q + 1} o d^{q} != 0")
-    return CechComplex(tuple(spaces), buffer_dim, tuple(diffs))
+    return CechComplex(tuple(spaces), dst_dim, tuple(diffs))
 
 
 def build_complex(P: FinitePresheaf, qmax: int | None = None) -> CechComplex:
@@ -298,9 +289,6 @@ def alternating_subcomplex(P: FinitePresheaf, qmax: int | None = None) -> CechCo
 
 def cohomology(C: CechComplex):
     """Cohomology dimensions in degrees 0..qmax, exactly."""
-    for q in range(len(C.diffs) - 1):
-        if not _compose_is_zero(C.diffs[q + 1], C.diffs[q]):
-            raise NotAComplex(f"d^{q + 1} o d^{q} != 0")
     ranks = [rank(d) for d in C.diffs]
     out = []
     for q, dim in enumerate(C.spaces):
@@ -515,6 +503,10 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
+# lambda's matrix is dense at rank's boundary, O(N^2) entries
+MAX_WINDOW = 1000
+
+
 def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     """Verify exactness of the augmented two-row Laurent-cover complex on
     the polynomial window of degree <= N.
@@ -527,8 +519,10 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
         (f - z) * z^{-m} = -(1 - f*eta) * eta^{m-1}   (eta = 1/z)
     holds exactly, so every (f - z)-multiple in the window has an
     explicit preimage under the restricted map lambda'; random multiples
-    are decomposed and re-checked.
+    are decomposed and re-checked.  N above MAX_WINDOW raises TooLarge.
     """
+    if N > MAX_WINDOW:
+        raise TooLarge(f"window N = {N} exceeds {MAX_WINDOW}")
     if f.is_zero():
         raise ZeroSeries("laurent cover needs a nonzero f")
     fpoly = f.as_dict()
@@ -545,7 +539,7 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     basis = [laurent({j: 1}) for j in range(N + 1)]
     images = ([lambda_map(b, zero).as_dict() for b in basis]
               + [lambda_map(zero, b).as_dict() for b in basis])
-    matrix = [[im.get(d, {0: Fraction(0)})[0] for im in images]
+    matrix = [[int(im[d][0]) if d in im else 0 for im in images]
               for d in range(-N, N + 1)]
     lam_rank = rank(matrix)
     kernel_dim = dom - lam_rank

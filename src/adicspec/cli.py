@@ -90,6 +90,8 @@ def main() -> None:
 @_domain_errors
 def spv(ring_name: str, bound: int, fmt: str) -> None:
     """Enumerate the valuation spectrum of Z, Q or a finite field."""
+    if bound < 0:
+        raise ParseError(f"--bound must be non-negative, got {bound}")
     ring = _resolve_ring(ring_name)
     model = spectral.spv_enumerate(ring, bound)
     rows = []

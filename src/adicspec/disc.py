@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import polys
 from .errors import (
     ContextMismatch,
+    MalformedPoint,
     MalformedSubset,
     NotTypeFive,
     NotUnitIdeal,
@@ -67,15 +68,16 @@ class DiscPoint:
         if polys.padic_abs(self.center, self.ctx.p) > 1:
             raise ValueError(f"center {self.center} lies outside the unit disc")
         if self.kind is PointKind.CLASSICAL:
-            assert self.radius is None
-        else:
-            assert self.radius is not None
-            if self.kind is PointKind.TYPE5_ABOVE:
-                # the point above radius 1 is not a point of the disc
-                if not (0 < self.radius < 1):
-                    raise ValueError("Type5Above radius must lie in (0, 1)")
-            elif not (0 < self.radius <= 1):
-                raise ValueError("radius must lie in (0, 1]")
+            if self.radius is not None:
+                raise MalformedPoint("a classical point takes no radius")
+        elif self.radius is None:
+            raise MalformedPoint(f"a {self.kind.value} point needs a radius")
+        elif self.kind is PointKind.TYPE5_ABOVE:
+            # the point above radius 1 is not a point of the disc
+            if not (0 < self.radius < 1):
+                raise ValueError("Type5Above radius must lie in (0, 1)")
+        elif not (0 < self.radius <= 1):
+            raise ValueError("radius must lie in (0, 1]")
 
 
 def classical(p: int, c) -> DiscPoint:

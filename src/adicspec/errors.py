@@ -91,3 +91,15 @@ class TruncationTooSmall(AdicError):
 
 class ParseError(AdicError):
     code = "parse-error"
+
+
+class TooLarge(AdicError):
+    code = "too-large"
+
+
+class MalformedElement(AdicError):
+    code = "malformed-element"
+
+
+class MalformedPoint(AdicError):
+    code = "malformed-point"

@@ -1,73 +1,53 @@
-"""Exact rank computations over the rationals.
+"""Exact linear algebra: the rank of integer matrices, and matrix products.
 
-Matrices are tuples/lists of rows of Fractions (or ints).  Rows are
-cleared to integers and reduced by fraction-free elimination, so no
-floating point is involved anywhere.
+``rank`` takes a matrix as rows of ints and eliminates on sparse
+``{col: int}`` rows without fractions: each row is reduced against the
+pivot row with the same leading column and divided by its content, so the
+elimination involves no rational or floating point arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
-def _int_rows(matrix):
-    rows = []
-    for row in matrix:
-        denoms = [Fraction(x).denominator for x in row]
-        mult = lcm(*denoms) if denoms else 1
-        ints = [int(Fraction(x) * mult) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        rows.append(ints)
-    return rows
+def _primitive(row: dict) -> dict:
+    """The sparse row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
 def rank(matrix) -> int:
-    """Rank over Q by integer fraction-free Gaussian elimination."""
-    rows = [r for r in _int_rows(matrix) if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
+    """Rank over Q of a matrix of integer rows, by sparse fraction-free
+    elimination."""
+    pivots = {}    # leading column -> the pivot row with that leading column
+    for dense in matrix:
+        row = _primitive({c: x for c, x in enumerate(dense) if x})
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        pval = prow[col]
-        for i in range(r + 1, len(rows)):
-            x = rows[i][col]
-            if x == 0:
-                continue
-            row = rows[i]
-            new = [pval * a - x * b for a, b in zip(row, prow)]
-            g = 0
-            for v in new:
-                g = gcd(g, v)
-            if g > 1:
-                new = [v // g for v in new]
-            rows[i] = new
-        r += 1
-        if r == len(rows):
-            break
-    return r
+            a, b = pivot[lead], row[lead]
+            new = {c: a * x for c, x in row.items()}
+            for c, y in pivot.items():
+                v = new.get(c, 0) - b * y
+                if v:
+                    new[c] = v
+                else:
+                    del new[c]
+            row = _primitive(new)
+    return len(pivots)
 
 
 def mat_mul(a, b):
     if not a or not b:
         return []
     cols = list(zip(*b))
-    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
-                 Fraction(0)) for col in cols] for row in a]
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in cols] for row in a]
 
 
 def identity(n):

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import MismatchedGroups, NotConvexSubgroupOfValueGroup, ParseError
+from .errors import (
+    MalformedElement,
+    MismatchedGroups,
+    NotConvexSubgroupOfValueGroup,
+    ParseError,
+)
 
 LT, EQ, GT = -1, 0, 1
 
@@ -86,16 +91,17 @@ class GroupElement:
     payload: tuple
 
     def __post_init__(self):
-        k = self.group.kind
+        k, pl = self.group.kind, self.payload
         if k is GroupKind.TRIVIAL:
-            assert self.payload == ()
+            ok = pl == ()
         elif k is GroupKind.LEX_RATIONAL:
-            assert len(self.payload) == self.group.n
+            ok = len(pl) == self.group.n
         elif k is GroupKind.POS_RATIONAL:
-            assert len(self.payload) == 1 and self.payload[0] > 0
+            ok = len(pl) == 1 and pl[0] > 0
         else:
-            assert len(self.payload) == 2 and self.payload[0] > 0
-            assert isinstance(self.payload[1], int)
+            ok = len(pl) == 2 and pl[0] > 0 and isinstance(pl[1], int)
+        if not ok:
+            raise MalformedElement(f"payload {pl!r} does not fit the {k.value} group")
 
 
 def unit(group: Group) -> GroupElement:
@@ -456,7 +462,7 @@ def parse_element(group: Group, text: str) -> GroupElement:
             raise ValueError(text)
         q, kpart = body.split("*g^")
         return radius_element(group, Fraction(q), int(kpart))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, MalformedElement) as exc:
         raise ParseError(f"cannot parse group element {text!r}") from exc
 
 

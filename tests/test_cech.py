@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicspec.cech import (
+    CechComplex,
+    _differential,
     alternating_subcomplex,
     build_complex,
     check_laurent_exactness,
@@ -30,7 +32,9 @@ from adicspec.cech import (
 )
 from adicspec.errors import (
     NonFunctorialPresheaf,
+    NotAComplex,
     ParseError,
+    TooLarge,
     TruncationTooSmall,
     ZeroSeries,
 )
@@ -70,6 +74,57 @@ class TestBuildComplex:
         res[(frozenset({0, 1}), frozenset({0, 1, 2}))] = [[Fraction(2)]]
         with pytest.raises(NonFunctorialPresheaf):
             presheaf(3, dims, res)
+
+    def test_zero_dimensional_middle_is_functorial(self):
+        # F({0,1}) = 0 and both restrictions into F({0,1,2}) from {0,2} and
+        # {1,2} are zero, so the chains {0} -> {0,1,2} through {0,1} and
+        # through {0,2} agree (and likewise from {1})
+        def s(*idx):
+            return frozenset(idx)
+        dims = {s(0): 1, s(1): 1, s(2): 1, s(0, 1): 0, s(0, 2): 1,
+                s(1, 2): 1, s(0, 1, 2): 1}
+        res = {(s(0), s(0, 1)): [], (s(1), s(0, 1)): [],
+               (s(0), s(0, 2)): [[1]], (s(2), s(0, 2)): [[1]],
+               (s(1), s(1, 2)): [[1]], (s(2), s(1, 2)): [[1]],
+               (s(0, 1), s(0, 1, 2)): [[]], (s(0, 2), s(0, 1, 2)): [[0]],
+               (s(1, 2), s(0, 1, 2)): [[0]]}
+        P = presheaf(3, dims, res)
+        assert cohomology(build_complex(P)) == \
+            cohomology(alternating_subcomplex(P))
+
+    def test_rational_restrictions_scaled_to_integers(self):
+        # conjugate a function presheaf by rational diagonal changes of
+        # basis, so the restrictions carry denominators 2, 3 and 7
+        base = function_presheaf(3, [{0, 1, 2}, {1, 2, 3}, {0, 2, 3}])
+        scales = [Fraction(1, 2), Fraction(3), Fraction(2, 7), Fraction(7, 3)]
+        basis = {S: [scales[(k + i) % 4] for i in range(base.dims[S])]
+                 for k, S in enumerate(sorted(base.dims, key=sorted))}
+        res = {(S, Sp): [[basis[Sp][i] * x / basis[S][j]
+                          for j, x in enumerate(row)]
+                         for i, row in enumerate(m)]
+               for (S, Sp), m in base.res.items()}
+        P = presheaf(3, base.dims, res)
+        assert P.integer_res[0] % 42 == 0
+        for make in (build_complex, alternating_subcomplex):
+            assert cohomology(make(P)) == cohomology(make(base))
+
+    def test_differential_scales_identity_and_restrictions_alike(self):
+        # Q on two sets with both restrictions 1/2, so D = 2; on the tuple
+        # (0, 1, 0) the faces (1, 0) and (0, 1) keep the index set (D times
+        # the identity) and (0, 0) restricts (D times 1/2), with signs + - +
+        dims = {frozenset({0}): 1, frozenset({1}): 1, frozenset({0, 1}): 1}
+        res = {(frozenset({i}), frozenset({0, 1})): [[Fraction(1, 2)]]
+               for i in (0, 1)}
+        matrix, src_dim, dst_dim = _differential(presheaf(2, dims, res), 1,
+                                                 False)
+        assert (src_dim, dst_dim) == (4, 8)
+        assert matrix[2] == [-1, 2, 2, 0]   # columns (0,0) (0,1) (1,0) (1,1)
+
+    def test_hand_built_complex_is_checked(self):
+        # d^0 = (1), d^1 = (1): d^1 o d^0 != 0
+        with pytest.raises(NotAComplex):
+            CechComplex((1, 1), 1, (((1,),), ((1,),)))
+        assert CechComplex((1, 1), 1, (((1,),), ((0,),))).buffer_dim == 1
 
 
 class TestAlternating:
@@ -228,6 +283,11 @@ class TestLaurentExactness:
     def test_truncation_too_small(self):
         with pytest.raises(TruncationTooSmall):
             check_laurent_exactness(parse_series("T^2-5", 5), 3)
+
+    def test_window_too_large(self):
+        with pytest.raises(TooLarge) as exc:
+            check_laurent_exactness(parse_series("T^2-5", 5), 1001)
+        assert exc.value.code == "too-large"
 
     @pytest.mark.parametrize(
         "case", json.loads((Path(__file__).parent / "data"

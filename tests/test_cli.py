@@ -45,6 +45,18 @@ class TestSpv:
         res = run("spv", "--ring", "F4")
         assert res.exit_code == 2
 
+    def test_negative_bound_parse_error(self):
+        res = run("spv", "--ring", "Z", "--bound", "-3")
+        assert res.exit_code == 2
+        assert "error[parse-error]" in res.output
+        assert res.stdout == ""
+
+    def test_bounds_zero_and_one_valid(self):
+        for bound in ("0", "1"):
+            res = run("spv", "--ring", "Z", "--bound", bound)
+            assert res.exit_code == 0
+            assert res.output.splitlines()[0] == "1 points"
+
 
 class TestEval:
     def test_gauss(self):
@@ -171,6 +183,12 @@ class TestCechLaurent:
         res = run("cech-laurent", "--f", "0", "-p", "5")
         assert res.exit_code == 1
 
+    def test_window_too_large(self):
+        res = run("cech-laurent", "--f", "T^2-5", "-N", "10000", "-p", "5")
+        assert res.exit_code == 1
+        assert "error[too-large]" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
 
 class TestGroup:
     def test_mul(self):
@@ -208,6 +226,14 @@ class TestGroup:
     def test_wrong_arity(self):
         res = run("group", "mul", "1", "--group", "posq")
         assert res.exit_code == 2
+
+    def test_malformed_element_parse_error(self):
+        for args in (("(1,2)", "(1)", "--group", "lex:2"),
+                     ("0", "1", "--group", "posq"),
+                     ("0*g^1@1/2<", "1*g^1@1/2<", "--group", "below:1/2")):
+            res = run("group", "mul", *args)
+            assert res.exit_code == 2
+            assert "error[parse-error]" in res.output
 
     def test_pow_non_integer_exponent_parse_error(self):
         res = run("group", "pow", "1/2", "3/7", "--group", "posq")

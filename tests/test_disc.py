@@ -1,12 +1,18 @@
 """Points of the adic unit disc: evaluation, classification, subsets."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from adicspec import polys
 from adicspec.disc import (
+    DiscPoint,
+    PointKind,
     PointType,
     ball,
     classical,
@@ -31,6 +37,7 @@ from adicspec.disc import (
 )
 from adicspec.errors import (
     ContextMismatch,
+    MalformedPoint,
     MalformedSubset,
     NotTypeFive,
     NotUnitIdeal,
@@ -42,7 +49,7 @@ from adicspec.ordgroup import (
     radius_below_group,
     radius_element,
 )
-from adicspec.tate import gauss_norm, parse_series, series
+from adicspec.tate import PadicContext, gauss_norm, parse_series, series
 from adicspec.value import nonzero, value_cmp, value_le, value_max, value_mul
 
 
@@ -83,6 +90,36 @@ class TestConstruction:
     def test_radius_range(self):
         with pytest.raises(ValueError):
             ball(2, 0, 2)
+
+    @pytest.mark.parametrize("kind,radius", [
+        (PointKind.CLASSICAL, Fraction(1, 2)),
+        (PointKind.BALL, None),
+        (PointKind.TYPE5_BELOW, None),
+        (PointKind.TYPE5_ABOVE, None),
+    ])
+    def test_radius_must_match_kind(self, kind, radius):
+        with pytest.raises(MalformedPoint) as exc:
+            DiscPoint(PadicContext(3), kind, Fraction(0), radius)
+        assert exc.value.code == "malformed-point"
+
+    def test_radius_must_match_kind_under_optimize(self):
+        # the check must not vanish with assertions under python -O
+        code = ("from fractions import Fraction\n"
+                "from adicspec.disc import DiscPoint, PointKind\n"
+                "from adicspec.errors import MalformedPoint\n"
+                "from adicspec.tate import PadicContext\n"
+                "for kind, r in ((PointKind.CLASSICAL, Fraction(1, 2)),\n"
+                "                (PointKind.BALL, None)):\n"
+                "    try:\n"
+                "        DiscPoint(PadicContext(3), kind, Fraction(0), r)\n"
+                "    except MalformedPoint as exc:\n"
+                "        print(exc.code)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["malformed-point"] * 2
 
 
 class TestClassification:

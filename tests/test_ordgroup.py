@@ -1,12 +1,17 @@
 """Ordered value groups: arithmetic, order, convex subgroups, quotients."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from adicspec.errors import MismatchedGroups, ParseError
+from adicspec.errors import MalformedElement, MismatchedGroups, ParseError
 from adicspec.ordgroup import (
+    GroupElement,
     SubgroupKind,
     convex_subgroup_generated,
     full_subgroup,
@@ -71,6 +76,36 @@ ALL_GROUPS = [
     radius_below_group(1),
     radius_above_group(Fraction(1, 3)),
 ]
+
+
+class TestElementShape:
+    @pytest.mark.parametrize("group,payload", [
+        (trivial_group(), (Fraction(1),)),
+        (lex_group(2), (Fraction(1),)),
+        (pos_rational_group(), (Fraction(0),)),
+        (pos_rational_group(), (Fraction(1), Fraction(2))),
+        (radius_below_group(Fraction(1, 2)), (Fraction(-1), 0)),
+        (radius_above_group(Fraction(1, 3)), (Fraction(1), Fraction(1, 2))),
+    ])
+    def test_malformed_payload_rejected(self, group, payload):
+        with pytest.raises(MalformedElement) as exc:
+            GroupElement(group, payload)
+        assert exc.value.code == "malformed-element"
+
+    def test_malformed_payload_rejected_under_optimize(self):
+        # the check must not vanish with assertions under python -O
+        code = ("from adicspec.errors import MalformedElement\n"
+                "from adicspec.ordgroup import GroupElement, lex_group\n"
+                "try:\n"
+                "    GroupElement(lex_group(2), ())\n"
+                "except MalformedElement as exc:\n"
+                "    print(exc.code)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "malformed-element"
 
 
 class TestGroupLaw:
