@@ -16,7 +16,7 @@ from functools import wraps
 import click
 
 from . import cech, disc, ordgroup, spectral, tate, valuation
-from .errors import AdicError, ParseError
+from .errors import AdicError, MalformedElement, ParseError
 from .valuation import RING_Q, RING_Z, BaseRing, finite_field
 
 
@@ -40,11 +40,14 @@ def _render_value(val) -> str:
     return ordgroup.render_element(val.elt)
 
 
+# click.echo() with no file caches a wrapper per sys.stdout/sys.stderr object
+# and keeps it alive, so each in-process run (CliRunner) would leave its
+# capture buffers behind; an explicit uncached stream leaves nothing.
+
 def _emit(fmt: str, text: str, structured) -> None:
     if fmt == "structured":
-        click.echo(json.dumps(structured, indent=2, sort_keys=True))
-    else:
-        click.echo(text)
+        text = json.dumps(structured, indent=2, sort_keys=True)
+    click.echo(text, file=click.get_text_stream("stdout"))
 
 
 def _domain_errors(f):
@@ -52,12 +55,10 @@ def _domain_errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except ParseError as exc:
-            click.echo(f"error[{exc.code}]: {exc}", err=True)
-            sys.exit(2)
         except AdicError as exc:
-            click.echo(f"error[{exc.code}]: {exc}", err=True)
-            sys.exit(1)
+            click.echo(f"error[{exc.code}]: {exc}",
+                       file=click.get_text_stream("stderr"))
+            sys.exit(2 if isinstance(exc, ParseError) else 1)
     return wrapper
 
 
@@ -271,7 +272,7 @@ def _parse_group(text: str) -> ordgroup.Group:
             return ordgroup.radius_below_group(Fraction(rest))
         if head == "above":
             return ordgroup.radius_above_group(Fraction(rest))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, MalformedElement) as exc:
         raise ParseError(f"bad group literal {text!r}") from exc
     raise ParseError(f"unknown group literal {text!r}")
 

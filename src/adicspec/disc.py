@@ -66,7 +66,7 @@ class DiscPoint:
 
     def __post_init__(self):
         if polys.padic_abs(self.center, self.ctx.p) > 1:
-            raise ValueError(f"center {self.center} lies outside the unit disc")
+            raise MalformedPoint(f"center {self.center} lies outside the unit disc")
         if self.kind is PointKind.CLASSICAL:
             if self.radius is not None:
                 raise MalformedPoint("a classical point takes no radius")
@@ -75,9 +75,9 @@ class DiscPoint:
         elif self.kind is PointKind.TYPE5_ABOVE:
             # the point above radius 1 is not a point of the disc
             if not (0 < self.radius < 1):
-                raise ValueError("Type5Above radius must lie in (0, 1)")
+                raise MalformedPoint("Type5Above radius must lie in (0, 1)")
         elif not (0 < self.radius <= 1):
-            raise ValueError("radius must lie in (0, 1]")
+            raise MalformedPoint("radius must lie in (0, 1]")
 
 
 def classical(p: int, c) -> DiscPoint:
@@ -145,16 +145,21 @@ def eval_at(x: DiscPoint, f: TateSeries) -> Value:
     if f.is_zero():
         return ZERO
     shifted = polys.taylor_shift(f.as_dict(), x.center)
-    terms = [(n, polys.padic_abs(a, p)) for n, a in sorted(shifted.items())]
     r = x.radius
-    best = max(q * r ** n for n, q in terms)
+    best = 0                     # every term |a_n| r^n is positive
+    for n, a in sorted(shifted.items()):
+        q = polys.padic_abs(a, p)
+        term = q * r ** n
+        if term > best:
+            best, first, last = term, (n, q), (n, q)
+        elif term == best:
+            last = (n, q)
     if x.kind is PointKind.BALL:
         return nonzero(pos_element(best))
-    maximizers = [(n, q) for n, q in terms if q * r ** n == best]
     if x.kind is PointKind.TYPE5_BELOW:
-        n0, q0 = maximizers[0]   # g slightly below r: least index wins ties
+        n0, q0 = first           # g slightly below r: least index wins ties
         return nonzero(radius_element(radius_below_group(r), q0, n0))
-    n1, q1 = maximizers[-1]      # g slightly above r: greatest index wins
+    n1, q1 = last                # g slightly above r: greatest index wins
     return nonzero(radius_element(radius_above_group(r), q1, n1))
 
 
@@ -313,7 +318,7 @@ def parse_point(text: str, p: int) -> DiscPoint:
             if head == "below":
                 return type5_below(p, c, r)
             return type5_above(p, c, r)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, MalformedPoint) as exc:
         raise ParseError(f"bad point literal {text!r}: {exc}") from exc
     raise ParseError(f"unknown point kind {head!r}")
 

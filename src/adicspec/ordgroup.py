@@ -68,14 +68,14 @@ def pos_rational_group() -> Group:
 def radius_below_group(r) -> Group:
     r = Fraction(r)
     if not (0 < r <= 1):
-        raise ValueError("RadiusBelow radius must lie in (0, 1]")
+        raise MalformedElement("RadiusBelow radius must lie in (0, 1]")
     return Group(GroupKind.RADIUS_BELOW, r=r)
 
 
 def radius_above_group(r) -> Group:
     r = Fraction(r)
     if not (0 < r < 1):
-        raise ValueError("RadiusAbove radius must lie in (0, 1)")
+        raise MalformedElement("RadiusAbove radius must lie in (0, 1)")
     return Group(GroupKind.RADIUS_ABOVE, r=r)
 
 

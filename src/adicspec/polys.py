@@ -8,7 +8,7 @@ module (Tate series, rational functions, Laurent splittings) can share it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import lcm
 
 
 def normalize(coeffs: dict) -> dict:
@@ -115,15 +115,41 @@ def poly_monic(f: dict) -> dict:
 
 
 def taylor_shift(f: dict, c) -> dict:
-    """Coefficients of f(X + c): recentering at c, exactly."""
+    """Coefficients of f(X + c): recentering at c, exactly.
+
+    Write c = u/w in lowest terms, N = deg f, and D for the lcm of the
+    denominators of f.  Then F(X) = D*w^N*f(X/w) has integer coefficients
+    D*a_n*w^(N-n), and F(X + u) = D*w^N*f(X/w + c), so the coefficient b_k
+    of f(X + c) is e_k / (D*w^(N-k)) with e_k that of F(X + u).  The shift
+    by the integer u is Horner's scheme on integers (von zur Gathen and
+    Gerhard, "Fast algorithms for Taylor shifts", ISSAC 1997): no binomials,
+    no powers, and no rational arithmetic until the N+1 output coefficients.
+    """
+    if not f:
+        return {}
     c = Fraction(c)
-    out: dict = {}
-    for n, a in f.items():
-        for k in range(n + 1):
-            term = a * comb(n, k) * c ** (n - k)
-            if term:
-                out[k] = out.get(k, Fraction(0)) + term
-    return normalize(out)
+    u, w = c.numerator, c.denominator
+    d = 1
+    for a in f.values():
+        d = lcm(d, a.denominator)
+    n = max(f)
+    e = [0] * (n + 1)
+    scale = d                      # D*w^(N-k), for k = N down to 0
+    for k in range(n, -1, -1):
+        a = f.get(k)
+        if a:
+            e[k] = a.numerator * (scale // a.denominator)
+        scale *= w
+    if u:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                e[j] += u * e[j + 1]
+    out = {}
+    for k, ek in enumerate(e):     # scale runs back from D*w^N to D
+        scale //= w
+        if ek:
+            out[k] = Fraction(ek, scale)
+    return out
 
 
 def padic_exponent(x: Fraction, p: int) -> int:
@@ -147,4 +173,5 @@ def padic_abs(x, p: int) -> Fraction:
     x = Fraction(x)
     if x == 0:
         return Fraction(0)
-    return Fraction(1, p) ** padic_exponent(x, p)
+    v = padic_exponent(x, p)
+    return Fraction(1, p ** v) if v >= 0 else Fraction(p ** -v)

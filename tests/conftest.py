@@ -1,6 +1,15 @@
-"""Print one pass/fail line per acceptance criterion after the run."""
+"""Shared Hypothesis profile, and one pass/fail line per acceptance
+criterion after the run."""
 
 import re
+
+from hypothesis import settings
+
+# every property test replays the same examples, keeps no example database
+# and has no per-example deadline; a file sets only its own max_examples
+settings.register_profile("adicspec", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("adicspec")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

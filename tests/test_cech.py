@@ -230,8 +230,7 @@ _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _coefficients = st.dictionaries(st.integers(0, 3), _rationals, max_size=3)
 _laurents = st.dictionaries(st.integers(-4, 4), _coefficients,
                             max_size=4).map(laurent)
-_law_settings = settings(derandomize=True, database=None, deadline=None,
-                         max_examples=60)
+_law_settings = settings(max_examples=60)
 
 
 class TestLaurentLaws:

@@ -1,7 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import gc
 import json
+import sys
+import weakref
 
+import pytest
 from click.testing import CliRunner
 
 from adicspec.cli import main
@@ -235,6 +240,14 @@ class TestGroup:
             assert res.exit_code == 2
             assert "error[parse-error]" in res.output
 
+    @pytest.mark.parametrize("group", ["below:2", "below:0", "above:1",
+                                       "above:-1/2"])
+    def test_radius_out_of_range_parse_error(self, group):
+        res = run("group", "height", "--group", group)
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error[parse-error]")
+
     def test_pow_non_integer_exponent_parse_error(self):
         res = run("group", "pow", "1/2", "3/7", "--group", "posq")
         assert res.exit_code == 2
@@ -272,3 +285,41 @@ class TestDeterminism:
         a = run("spv", "--ring", "Z", "--bound", "10").output
         b = run("spv", "--ring", "Z", "--bound", "10").output
         assert a == b
+
+
+class _StreamRecordingRunner(CliRunner):
+    """A CliRunner that keeps a weak reference to each stdout and stderr
+    it installs."""
+
+    def __init__(self):
+        super().__init__()
+        self.streams = []
+
+    @contextlib.contextmanager
+    def isolation(self, *args, **kwargs):
+        with super().isolation(*args, **kwargs) as captured:
+            self.streams += [weakref.ref(sys.stdout), weakref.ref(sys.stderr)]
+            yield captured
+
+
+class TestInProcessStreams:
+    def test_no_runner_stream_outlives_its_invocation(self):
+        runner = _StreamRecordingRunner()
+        for i in range(5):
+            for args in (
+                    ("eval", "--point", "ball:0,1", "--poly", f"T+{i}", "-p", "5"),
+                    ("classify", "--point", "classical:1", "--format", "structured"),
+                    ("cover", "T", "2*T", "--kind", "rational"),
+                    ("group", "height", "--group", "below:2")):
+                runner.invoke(main, list(args))
+        gc.collect()
+        assert len(runner.streams) == 40
+        assert [ref for ref in runner.streams if ref() is not None] == []
+
+    def test_output_still_reaches_the_runner(self):
+        res = run("eval", "--point", "ball:0,1", "--poly", "5*T+1", "-p", "5")
+        assert (res.exit_code, res.stdout, res.stderr) == (0, "1\n", "")
+        res = run("cover", "T", "2*T", "--kind", "rational")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error[not-unit-ideal]")

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicspec import polys
 from adicspec.disc import (
@@ -49,7 +51,14 @@ from adicspec.ordgroup import (
     radius_below_group,
     radius_element,
 )
-from adicspec.tate import PadicContext, gauss_norm, parse_series, series
+from adicspec.tate import (
+    PadicContext,
+    gauss_norm,
+    parse_series,
+    series,
+    series_add,
+    series_mul,
+)
 from adicspec.value import nonzero, value_cmp, value_le, value_max, value_mul
 
 
@@ -80,16 +89,26 @@ def point_family(p=2):
 
 class TestConstruction:
     def test_center_outside_disc(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedPoint):
             classical(2, Fraction(1, 2))
 
     def test_above_radius_one_excluded(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedPoint):
             type5_above(2, 0, 1)
 
     def test_radius_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedPoint):
             ball(2, 0, 2)
+
+    @pytest.mark.parametrize("make,c,r", [
+        (ball, 0, 0), (ball, 0, Fraction(-1, 2)), (type5_below, 0, Fraction(3, 2)),
+        (type5_above, 0, 0), (type5_above, 1, Fraction(5, 4)),
+        (ball, Fraction(1, 3), Fraction(1, 2)),
+    ])
+    def test_out_of_range_is_malformed_point(self, make, c, r):
+        with pytest.raises(MalformedPoint) as exc:
+            make(3, c, r)
+        assert exc.value.code == "malformed-point"
 
     @pytest.mark.parametrize("kind,radius", [
         (PointKind.CLASSICAL, Fraction(1, 2)),
@@ -151,6 +170,21 @@ class TestEvaluation:
         G = radius_below_group(Fraction(1))
         assert eval_at(type5_below(5, 0, 1), parse_series("T", 5)) == \
             nonzero(radius_element(G, 1, 1))
+
+    @pytest.mark.parametrize("make,r,poly,q,n", [
+        # 1 + T ties at r = 1: below keeps the least index, above the greatest
+        # and 1 + T/5 + T^2/25 ties in all three terms at r = 1/5
+        (type5_below, Fraction(1), "1+T", 1, 0),
+        (type5_below, Fraction(1, 5), "1+1/5*T+1/25*T^2", 1, 0),
+        (type5_above, Fraction(1, 5), "1+1/5*T+1/25*T^2", 25, 2),
+        (type5_above, Fraction(1, 5), "5+T", 1, 1),
+        (type5_above, Fraction(1, 5), "1+T", 1, 0),
+    ])
+    def test_type5_tie_breaks(self, make, r, poly, q, n):
+        x = make(5, 0, r)
+        G = (radius_below_group if make is type5_below else radius_above_group)(r)
+        assert eval_at(x, parse_series(poly, 5)) == \
+            nonzero(radius_element(G, Fraction(q), n))
 
     def test_gauss_matches_gauss_norm(self):
         rng = random.Random(3)
@@ -224,6 +258,68 @@ class TestEvaluation:
                 G = vx.elt.group
                 _, proj = quotient_by_convex(G, radius_real_subgroup(G))
                 assert proj(vx.elt).payload == vm.elt.payload
+
+
+# points of all four kinds at p = 2, 3, 5: centers are p-adic integers with
+# small numerators and denominators, radii are powers of p or other rationals
+_PRIMES = (2, 3, 5)
+_MAKERS = {PointKind.CLASSICAL: classical, PointKind.BALL: ball,
+           PointKind.TYPE5_BELOW: type5_below, PointKind.TYPE5_ABOVE: type5_above}
+
+
+@st.composite
+def _points(draw, kind):
+    p = draw(st.sampled_from(_PRIMES))
+    den = draw(st.integers(1, 12).filter(lambda d: d % p))
+    c = draw(st.one_of(st.just(Fraction(0)),
+                       st.integers(-30, 30).map(lambda a: Fraction(a, den))))
+    if kind is PointKind.CLASSICAL:
+        return classical(p, c)
+    least = 1 if kind is PointKind.TYPE5_ABOVE else 0   # above needs r < 1
+    r = draw(st.one_of(
+        st.integers(least, 3).map(lambda m: Fraction(1, p ** m)),
+        st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
+            lambda r: 0 < r < 1)))
+    return _MAKERS[kind](p, c, r)
+
+
+def _series(p):
+    """Polynomials of degree <= 6 at the prime p.  Half the coefficients
+    are small units times powers of p, so that terms |a_n| r^n often tie at
+    radii in p^Z and the type-5 tie-breaks are exercised."""
+    coefficient = st.one_of(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        st.builds(lambda u, k: u * Fraction(p) ** k,
+                  st.sampled_from([-3, -2, -1, 1, 2, 3, 4, 6, 7]),
+                  st.integers(-2, 3)))
+    return st.dictionaries(st.integers(0, 6), coefficient, max_size=5).map(
+        lambda coeffs: series(p, coeffs))
+
+
+_eval_settings = settings(max_examples=50)
+
+
+class TestEvaluationLaws:
+    """|.|_x is a valuation for every point x: multiplicative and
+    ultrametric, whatever the center, the radius and the kind."""
+
+    @pytest.mark.parametrize("kind", list(PointKind))
+    @_eval_settings
+    @given(data=st.data())
+    def test_multiplicative(self, kind, data):
+        x = data.draw(_points(kind))
+        f, g = data.draw(_series(x.ctx.p)), data.draw(_series(x.ctx.p))
+        assert eval_at(x, series_mul(f, g)) == value_mul(eval_at(x, f),
+                                                         eval_at(x, g))
+
+    @pytest.mark.parametrize("kind", list(PointKind))
+    @_eval_settings
+    @given(data=st.data())
+    def test_ultrametric(self, kind, data):
+        x = data.draw(_points(kind))
+        f, g = data.draw(_series(x.ctx.p)), data.draw(_series(x.ctx.p))
+        vf, vg = eval_at(x, f), eval_at(x, g)
+        assert value_le(eval_at(x, series_add(f, g)), value_max(vf, vg))
 
 
 class TestEquality:
@@ -350,3 +446,11 @@ class TestLiterals:
         for bad in ("ball:0", "classical:x", "orbit:1,2"):
             with pytest.raises(ParseError):
                 parse_point(bad, 2)
+
+    @pytest.mark.parametrize("text", [
+        "classical:1/2", "ball:0,2", "ball:0,0", "below:1,3/2", "above:0,1",
+    ])
+    def test_out_of_range_literal_is_parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_point(text, 2)
+        assert isinstance(exc.value.__cause__, MalformedPoint)

@@ -30,8 +30,7 @@ def gauss_jordan_rank(matrix) -> int:
 _entries = st.sampled_from([0] * 8 + [-3, -2, -1, 1, 2, 3])
 _matrices = st.integers(0, 8).flatmap(lambda ncols: st.lists(
     st.lists(_entries, min_size=ncols, max_size=ncols), max_size=8))
-_settings = settings(derandomize=True, database=None, deadline=None,
-                     max_examples=150)
+_settings = settings(max_examples=150)
 
 
 def transpose(matrix):

@@ -92,6 +92,16 @@ class TestElementShape:
             GroupElement(group, payload)
         assert exc.value.code == "malformed-element"
 
+    @pytest.mark.parametrize("make,r", [
+        (radius_below_group, Fraction(0)), (radius_below_group, Fraction(3, 2)),
+        (radius_below_group, Fraction(-1, 2)), (radius_above_group, Fraction(1)),
+        (radius_above_group, Fraction(0)), (radius_above_group, Fraction(2)),
+    ])
+    def test_radius_group_out_of_range(self, make, r):
+        with pytest.raises(MalformedElement) as exc:
+            make(r)
+        assert exc.value.code == "malformed-element"
+
     def test_malformed_payload_rejected_under_optimize(self):
         # the check must not vanish with assertions under python -O
         code = ("from adicspec.errors import MalformedElement\n"
