@@ -32,7 +32,7 @@ from .errors import (
     ZeroSeries,
 )
 from .linalg import identity, mat_mul, rank
-from .polys import normalize, poly_add, poly_mul, poly_neg
+from .polys import Poly, degree, poly, poly_add, poly_const, poly_mul, poly_neg
 from .tate import TateSeries, render_series
 
 
@@ -165,7 +165,7 @@ def _unimodular_pair(rng, d: int):
 def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
     """Random functorial presheaf: a function presheaf conjugated by
     random unimodular change-of-basis matrices on every subset."""
-    point_sets = [frozenset(p for p in range(universe) if rng.random() < 0.7)
+    point_sets = [frozenset(p for p in range(universe) if 10 * rng.random() < 7)
                   for _ in range(n)]
     base = function_presheaf(n, point_sets)
     basis = {S: _unimodular_pair(rng, base.dims[S]) for S in _subsets(n)}
@@ -380,38 +380,35 @@ def render_presheaf_text(P: FinitePresheaf) -> str:
 @dataclass(frozen=True)
 class LaurentPoly:
     """Laurent polynomial in zeta with coefficients in Q[T]; coeffs is a
-    sorted tuple of (degree, coefficient) pairs with no zero coefficient,
-    each coefficient a sorted tuple of (T-degree, Fraction) pairs."""
+    sorted tuple of (degree, Poly) pairs with no zero coefficient."""
 
     coeffs: tuple
-
-    def as_dict(self) -> dict:
-        """zeta-degree -> coefficient as a polys dict."""
-        return {d: dict(c) for d, c in self.coeffs}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
 
+def _laurent(terms: dict) -> LaurentPoly:
+    return LaurentPoly(tuple([(d, c) for d, c in sorted(terms.items()) if c]))
+
+
 def laurent(coeffs: dict) -> LaurentPoly:
     """Laurent polynomial from zeta-degree -> coefficient, where each
-    coefficient is a rational constant or a polys dict in T."""
-    items = ((int(d), normalize(v if isinstance(v, dict) else {0: v}))
-             for d, v in coeffs.items())
-    return LaurentPoly(tuple(sorted((d, tuple(sorted(c.items())))
-                                    for d, c in items if c)))
+    coefficient is a rational constant, a Poly or a {T-degree: rational}
+    mapping."""
+    return _laurent({int(d): poly(v) if isinstance(v, (dict, Poly))
+                     else poly_const(v) for d, v in coeffs.items()})
 
 
 def laurent_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out = a.as_dict()
+    out = dict(a.coeffs)
     for d, c in b.coeffs:
-        out[d] = poly_add(out.get(d, {}), dict(c))
-    return laurent(out)
+        out[d] = poly_add(out[d], c) if d in out else c
+    return _laurent(out)
 
 
 def laurent_neg(a: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(tuple((d, tuple((k, -v) for k, v in c))
-                             for d, c in a.coeffs))
+    return LaurentPoly(tuple([(d, poly_neg(c)) for d, c in a.coeffs]))
 
 
 def laurent_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -421,11 +418,10 @@ def laurent_sub(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out = {}
     for da, ca in a.coeffs:
-        pa = dict(ca)
         for db, cb in b.coeffs:
-            d = da + db
-            out[d] = poly_add(out.get(d, {}), poly_mul(pa, dict(cb)))
-    return laurent(out)
+            d, c = da + db, poly_mul(ca, cb)
+            out[d] = poly_add(out[d], c) if d in out else c
+    return _laurent(out)
 
 
 def laurent_invert_variable(a: LaurentPoly) -> LaurentPoly:
@@ -525,8 +521,8 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
         raise TooLarge(f"window N = {N} exceeds {MAX_WINDOW}")
     if f.is_zero():
         raise ZeroSeries("laurent cover needs a nonzero f")
-    fpoly = f.as_dict()
-    deg_f = max(fpoly)
+    fpoly = f.poly
+    deg_f = degree(fpoly)
     if N < deg_f + 2:
         raise TruncationTooSmall(f"need N >= deg(f) + 2 = {deg_f + 2}")
 
@@ -537,8 +533,8 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     cod = 2 * N + 1
     zero, one = laurent({}), laurent({0: 1})
     basis = [laurent({j: 1}) for j in range(N + 1)]
-    images = ([lambda_map(b, zero).as_dict() for b in basis]
-              + [lambda_map(zero, b).as_dict() for b in basis])
+    images = ([dict(lambda_map(b, zero).coeffs) for b in basis]
+              + [dict(lambda_map(zero, b).coeffs) for b in basis])
     matrix = [[int(im[d][0]) if d in im else 0 for im in images]
               for d in range(-N, N + 1)]
     lam_rank = rank(matrix)
@@ -564,7 +560,7 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     preimages_ok = True
     for _ in range(preimages):
         L = laurent({d: rng.randint(-5, 5) for d in range(-(N - 1), N - deg_f)
-                     if rng.random() < 0.4})
+                     if 5 * rng.random() < 2})
         g, h = laurent_split(L)
         applied = lambda_map(laurent_mul(f_minus_z, g),
                              laurent_mul(f_minus_inv_eta, h))

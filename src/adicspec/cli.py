@@ -16,7 +16,7 @@ from functools import wraps
 import click
 
 from . import cech, disc, ordgroup, spectral, tate, valuation
-from .errors import AdicError, MalformedElement, ParseError
+from .errors import AdicError, MalformedElement, NotPrime, ParseError
 from .valuation import RING_Q, RING_Z, BaseRing, finite_field
 
 
@@ -29,7 +29,7 @@ def _resolve_ring(name: str) -> BaseRing:
     if name.startswith("F"):
         try:
             return finite_field(int(name[1:]))
-        except ValueError as exc:
+        except (ValueError, NotPrime) as exc:
             raise ParseError(f"bad ring {name!r}") from exc
     raise ParseError(f"unknown ring {name!r} (expected Z, Q or F<p>)")
 
@@ -42,7 +42,27 @@ def _render_value(val) -> str:
 
 # click.echo() with no file caches a wrapper per sys.stdout/sys.stderr object
 # and keeps it alive, so each in-process run (CliRunner) would leave its
-# capture buffers behind; an explicit uncached stream leaves nothing.
+# capture buffers behind; an explicit uncached stream leaves nothing.  The
+# --help option click adds echoes with no file, so its callback is replaced.
+
+def _show_help(ctx: click.Context, param, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color,
+                   file=click.get_text_stream("stdout"))
+        ctx.exit()
+
+
+class _Command(click.Command):
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
 
 def _emit(fmt: str, text: str, structured) -> None:
     if fmt == "structured":
@@ -76,7 +96,7 @@ def _check_prime(p: int) -> int:
     return p
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(package_name="adicspec")
 def main() -> None:
     """Exact computations with valuations, disc points and covers."""

@@ -101,15 +101,9 @@ def type5_above(p: int, c, r) -> DiscPoint:
 
 
 def _is_power_of_p(r: Fraction, p: int) -> bool:
-    # a rational in (0, 1] lies in p^Q iff it lies in p^Z, i.e. is p^-m
-    if r == 1:
-        return True
-    if r.numerator != 1:
-        return False
-    den = r.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
+    # a rational in (0, 1] lies in p^Q iff it lies in p^Z, and r = p^k
+    # exactly when r * |r|_p = 1
+    return r * polys.padic_abs(r, p) == 1
 
 
 def classify(x: DiscPoint) -> PointType:
@@ -133,34 +127,39 @@ def value_group_of(x: DiscPoint) -> Group:
 
 
 def eval_at(x: DiscPoint, f: TateSeries) -> Value:
-    """The valuation of the point applied to f, in x's value group."""
+    """The valuation of the point applied to f, in x's value group.
+
+    The recentred f(X + c) = content * sum e_n X^n has coefficients
+    |a_n|_p = |content|_p p^(-v_p(e_n)), so the terms |a_n| r^n, r = s/t,
+    compare as the integers p^(V - v_p(e_n)) s^n t^(N - n), V the largest
+    v_p(e_n); Fractions are built only for the maximum.
+    """
     if x.ctx != f.ctx:
         raise ContextMismatch(f"{x.ctx} vs {f.ctx}")
     p = x.ctx.p
     if x.kind is PointKind.CLASSICAL:
-        v = polys.poly_eval(f.as_dict(), x.center)
+        v = polys.poly_eval(f.poly, x.center)
         if v == 0:
             return ZERO
         return nonzero(pos_element(polys.padic_abs(v, p)))
     if f.is_zero():
         return ZERO
-    shifted = polys.taylor_shift(f.as_dict(), x.center)
-    r = x.radius
-    best = 0                     # every term |a_n| r^n is positive
-    for n, a in sorted(shifted.items()):
-        q = polys.padic_abs(a, p)
-        term = q * r ** n
-        if term > best:
-            best, first, last = term, (n, q), (n, q)
-        elif term == best:
-            last = (n, q)
+    shifted = polys.taylor_shift(f.poly, x.center)
+    vals = {n: polys.padic_exponent(e, p)
+            for n, e in enumerate(shifted.coeffs) if e}
+    top, N = max(vals.values()), len(shifted.coeffs) - 1
+    s, t = x.radius.numerator, x.radius.denominator
+    keys = {n: p ** (top - v) * s ** n * t ** (N - n) for n, v in vals.items()}
+    best = max(keys.values())
+    ties = [n for n, key in keys.items() if key == best]
+    # g slightly below r: the least index wins ties; above r: the greatest
+    n = ties[-1] if x.kind is PointKind.TYPE5_ABOVE else ties[0]
+    q = polys.padic_abs(shifted.content * shifted.coeffs[n], p)
     if x.kind is PointKind.BALL:
-        return nonzero(pos_element(best))
-    if x.kind is PointKind.TYPE5_BELOW:
-        n0, q0 = first           # g slightly below r: least index wins ties
-        return nonzero(radius_element(radius_below_group(r), q0, n0))
-    n1, q1 = last                # g slightly above r: greatest index wins
-    return nonzero(radius_element(radius_above_group(r), q1, n1))
+        return nonzero(pos_element(q * x.radius ** n))
+    group = radius_below_group if x.kind is PointKind.TYPE5_BELOW \
+        else radius_above_group
+    return nonzero(radius_element(group(x.radius), q, n))
 
 
 def point_eq(x: DiscPoint, y: DiscPoint) -> bool:
@@ -266,7 +265,7 @@ def intersect_rational(R1: RationalSubsetSpec, R2: RationalSubsetSpec) -> Ration
     t1 = set(R1.numerators) | {R1.denominator}
     t2 = set(R2.numerators) | {R2.denominator}
     prods = {series_mul(a, b) for a in t1 for b in t2}
-    return rational_subset(sorted(prods, key=lambda f: f.coeffs),
+    return rational_subset(sorted(prods, key=lambda f: f.poly.items()),
                            series_mul(R1.denominator, R2.denominator))
 
 
@@ -286,7 +285,7 @@ def laurent_cover(f: TateSeries) -> CoverSpec:
     """The two-member cover {|f| <= 1}, {|f| >= 1}."""
     if f.is_zero():
         raise ZeroSeries("Laurent cover of the zero series")
-    one = TateSeries.from_dict(f.ctx, polys.poly_const(1))
+    one = TateSeries(f.ctx, polys.poly_const(1))
     return CoverSpec(CoverKind.LAURENT, (f,),
                      (rational_subset((f,), one), rational_subset((one,), f)))
 

@@ -103,3 +103,19 @@ class MalformedElement(AdicError):
 
 class MalformedPoint(AdicError):
     code = "malformed-point"
+
+
+class NotPrime(AdicError):
+    code = "not-prime"
+
+
+class ZeroValue(AdicError):
+    code = "zero-value"
+
+
+class MalformedIdeal(AdicError):
+    code = "malformed-ideal"
+
+
+class MalformedValuation(AdicError):
+    code = "malformed-valuation"

@@ -57,7 +57,7 @@ def trivial_group() -> Group:
 
 def lex_group(n: int) -> Group:
     if n < 1:
-        raise ValueError("LexRational arity must be >= 1")
+        raise MalformedElement("LexRational arity must be >= 1")
     return Group(GroupKind.LEX_RATIONAL, n=n)
 
 
@@ -442,15 +442,16 @@ def render_element(a: GroupElement) -> str:
 
 def parse_element(group: Group, text: str) -> GroupElement:
     text = text.strip()
+    bad = ParseError(f"cannot parse group element {text!r}")
     try:
         k = group.kind
         if k is GroupKind.TRIVIAL:
             if text != "1":
-                raise ValueError(text)
+                raise bad
             return unit(group)
         if k is GroupKind.LEX_RATIONAL:
             if not (text.startswith("(") and text.endswith(")")):
-                raise ValueError(text)
+                raise bad
             parts = text[1:-1].split(",")
             return lex_element(group, [Fraction(p) for p in parts])
         if k is GroupKind.POS_RATIONAL:
@@ -459,11 +460,11 @@ def parse_element(group: Group, text: str) -> GroupElement:
         mark = radius[-1]
         expected = "<" if k is GroupKind.RADIUS_BELOW else ">"
         if mark != expected or Fraction(radius[:-1]) != group.r:
-            raise ValueError(text)
+            raise bad
         q, kpart = body.split("*g^")
         return radius_element(group, Fraction(q), int(kpart))
     except (ValueError, ZeroDivisionError, MalformedElement) as exc:
-        raise ParseError(f"cannot parse group element {text!r}") from exc
+        raise bad from exc
 
 
 def render_subgroup(H: ConvexSubgroup) -> str:

@@ -1,164 +1,240 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials over the rationals, and their text form.
 
-Polynomials are plain dicts mapping degree -> nonzero Fraction; the zero
-polynomial is the empty dict.  Kept deliberately low-tech so that every
-module (Tate series, rational functions, Laurent splittings) can share it.
+A :class:`Poly` is stored in the normal form of Gauss's lemma: a rational
+content times a primitive integer polynomial, whose coefficients have gcd 1
+and a positive leading entry.  Equal polynomials are equal values with
+equal hashes, a product of two primitive polynomials is primitive, so
+multiplication needs no gcd, and the Gauss norm of f is |content|_p.
+Tate series, rational functions, Laurent coefficients and ideal generators
+all hold this one type.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+from .errors import ParseError, TooLarge, ZeroValue
+
+# largest degree, and exponent, the text parser builds: storage is dense
+MAX_DEGREE = 10000
 
 
-def normalize(coeffs: dict) -> dict:
-    return {d: Fraction(c) for d, c in coeffs.items() if c != 0}
+@dataclass(frozen=True, slots=True)
+class Poly:
+    """content * (coeffs[0] + coeffs[1]*T + ...), coeffs primitive integers
+    in increasing degree; zero is content 0 with no coefficients.
+
+    Read as a mapping it is degree -> nonzero Fraction coefficient:
+    ``items()`` in increasing degree, iteration over the degrees, ``len``
+    the number of terms and ``f[d]`` any coefficient (0 above the degree).
+    """
+
+    content: Fraction
+    coeffs: tuple = ()
+
+    def items(self) -> list:
+        c = self.content
+        return [(d, c * e) for d, e in enumerate(self.coeffs) if e]
+
+    def __iter__(self):
+        return (d for d, e in enumerate(self.coeffs) if e)
+
+    def __len__(self) -> int:
+        return sum(1 for e in self.coeffs if e)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __getitem__(self, d: int) -> Fraction:
+        if 0 <= d < len(self.coeffs):
+            return self.content * self.coeffs[d]
+        return Fraction(0)
 
 
-def poly_const(c) -> dict:
-    return normalize({0: Fraction(c)})
+ZERO = Poly(Fraction(0))
 
 
-def poly_x(power: int = 1) -> dict:
-    return {power: Fraction(1)}
+def _normal(content, ints) -> Poly:
+    """content * ints (integers in increasing degree) in normal form."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if not n or not content:
+        return ZERO
+    g = gcd(*ints[:n])
+    if ints[n - 1] < 0:
+        g = -g
+    # tuple() of a list, not of a generator: CPython grows a generator's
+    # tuple by resizing, which bypasses the tuple free lists on allocation
+    # but refills them on release, so they would fill to 2000 per length
+    coeffs = tuple(ints[:n] if g == 1 else [e // g for e in ints[:n]])
+    return Poly(Fraction(content) * g, coeffs)
 
 
-def is_zero(f: dict) -> bool:
-    return not f
+def poly(coeffs) -> Poly:
+    """The polynomial with the given {degree: rational} coefficients."""
+    terms = [(d, Fraction(c)) for d, c in coeffs.items() if c]
+    if not terms:
+        return ZERO
+    den = lcm(*(c.denominator for _, c in terms))
+    ints = [0] * (max(d for d, _ in terms) + 1)
+    for d, c in terms:
+        ints[d] = c.numerator * (den // c.denominator)
+    return _normal(Fraction(1, den), ints)
 
 
-def degree(f: dict) -> int:
+def poly_const(c) -> Poly:
+    return _normal(c, [1])
+
+
+def poly_x(power: int = 1) -> Poly:
+    return Poly(Fraction(1), (0,) * power + (1,))
+
+
+def degree(f: Poly) -> int:
     """Degree; -1 for the zero polynomial."""
-    return max(f) if f else -1
+    return len(f.coeffs) - 1
 
 
-def order(f: dict) -> int:
-    """Lowest degree with nonzero coefficient; -1 for zero."""
-    return min(f) if f else -1
+def poly_add(f: Poly, g: Poly) -> Poly:
+    if not f:
+        return g
+    if not g:
+        return f
+    # over the common content gcd(numerators)/lcm(denominators) both
+    # summands have integer coefficients
+    cf, cg = f.content, g.content
+    num = gcd(cf.numerator, cg.numerator)
+    den = lcm(cf.denominator, cg.denominator)
+    a = cf.numerator // num * (den // cf.denominator)
+    b = cg.numerator // num * (den // cg.denominator)
+    out = [a * x for x in f.coeffs] + [0] * (len(g.coeffs) - len(f.coeffs))
+    for i, y in enumerate(g.coeffs):
+        out[i] += b * y
+    return _normal(Fraction(num, den), out)
 
 
-def poly_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for d, c in g.items():
-        out[d] = out.get(d, Fraction(0)) + c
-        if out[d] == 0:
-            del out[d]
-    return out
+def poly_neg(f: Poly) -> Poly:
+    return Poly(-f.content, f.coeffs)
 
 
-def poly_neg(f: dict) -> dict:
-    return {d: -c for d, c in f.items()}
-
-
-def poly_sub(f: dict, g: dict) -> dict:
+def poly_sub(f: Poly, g: Poly) -> Poly:
     return poly_add(f, poly_neg(g))
 
 
-def poly_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for d1, c1 in f.items():
-        for d2, c2 in g.items():
-            d = d1 + d2
-            out[d] = out.get(d, Fraction(0)) + c1 * c2
-    return normalize(out)
+def _convolve(a: tuple, b: tuple) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
 
-def poly_scale(f: dict, c) -> dict:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {d: a * c for d, a in f.items()}
+def poly_mul(f: Poly, g: Poly) -> Poly:
+    """Contents multiply and primitive parts convolve: by Gauss's lemma the
+    product of primitive polynomials is primitive, so there is no gcd."""
+    if not f or not g:
+        return ZERO
+    return Poly(f.content * g.content, _convolve(f.coeffs, g.coeffs))
 
 
-def poly_pow(f: dict, n: int) -> dict:
-    out = poly_const(1)
-    for _ in range(n):
-        out = poly_mul(out, f)
-    return out
+def poly_pow(f: Poly, n: int) -> Poly:
+    """f^n by repeated squaring of the primitive part."""
+    result, base, k = (1,), f.coeffs, n
+    while k:
+        if k & 1:
+            result = _convolve(result, base)
+        k >>= 1
+        if k:
+            base = _convolve(base, base)
+    return Poly(f.content ** n, result)
 
 
-def poly_eval(f: dict, x) -> Fraction:
+def poly_eval(f, x) -> Fraction:
+    """f(x) exactly, for a Poly or a {degree: rational} mapping f.
+
+    With x = u/w, w^N * F(x) = sum e_k u^k w^(N-k) is an integer Horner
+    scheme on the primitive part F; one Fraction is built at the end."""
+    if not isinstance(f, Poly):
+        f = poly(f)
+    if not f:
+        return Fraction(0)
     x = Fraction(x)
-    return sum((c * x ** d for d, c in f.items()), Fraction(0))
+    u, w = x.numerator, x.denominator
+    acc, wpow = 0, 1
+    for e in reversed(f.coeffs):
+        acc = acc * u + e * wpow
+        wpow *= w
+    return f.content * Fraction(acc, wpow // w)
 
 
-def poly_divmod(f: dict, g: dict):
-    if is_zero(g):
+def poly_divmod(f: Poly, g: Poly):
+    """Quotient and remainder over Q, from the pseudo-division
+    s*F = Q*G + R of the primitive parts over Z, where s is a power of the
+    leading coefficient of G (1 when every step divides exactly)."""
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    q: dict = {}
-    r = dict(f)
-    dg = degree(g)
-    lg = g[dg]
-    while not is_zero(r) and degree(r) >= dg:
-        dr = degree(r)
-        c = r[dr] / lg
-        q[dr - dg] = c
-        r = poly_sub(r, poly_mul({dr - dg: c}, g))
-    return normalize(q), normalize(r)
+    R, G = list(f.coeffs), g.coeffs
+    dg, lead = len(G) - 1, G[-1]
+    Q = [0] * max(len(R) - dg, 0)
+    s = 1
+    for k in range(len(Q) - 1, -1, -1):
+        c = R[k + dg]
+        if c % lead:
+            R, Q, s = [lead * x for x in R], [lead * x for x in Q], s * lead
+        else:
+            c //= lead
+        Q[k] += c
+        for i, y in enumerate(G, k):
+            R[i] -= c * y
+    return (_normal(f.content / (s * g.content), Q),
+            _normal(f.content / s, R[:dg]))
 
 
-def poly_gcd(f: dict, g: dict) -> dict:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    a, b = dict(f), dict(g)
-    while not is_zero(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if is_zero(a):
-        return a
-    return poly_scale(a, 1 / a[degree(a)])
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Q by Euclid's algorithm; every remainder is stored
+    primitive, so the integers stay small."""
+    while g:
+        f, g = g, poly_divmod(f, g)[1]
+    return poly_monic(f)
 
 
-def poly_monic(f: dict) -> dict:
-    if is_zero(f):
-        return f
-    return poly_scale(f, 1 / f[degree(f)])
+def poly_monic(f: Poly) -> Poly:
+    return Poly(Fraction(1, f.coeffs[-1]), f.coeffs) if f else f
 
 
-def taylor_shift(f: dict, c) -> dict:
-    """Coefficients of f(X + c): recentering at c, exactly.
+def taylor_shift(f: Poly, c) -> Poly:
+    """f(X + c): recentering at c, exactly.
 
-    Write c = u/w in lowest terms, N = deg f, and D for the lcm of the
-    denominators of f.  Then F(X) = D*w^N*f(X/w) has integer coefficients
-    D*a_n*w^(N-n), and F(X + u) = D*w^N*f(X/w + c), so the coefficient b_k
-    of f(X + c) is e_k / (D*w^(N-k)) with e_k that of F(X + u).  The shift
-    by the integer u is Horner's scheme on integers (von zur Gathen and
-    Gerhard, "Fast algorithms for Taylor shifts", ISSAC 1997): no binomials,
-    no powers, and no rational arithmetic until the N+1 output coefficients.
+    Write c = u/w in lowest terms, N = deg f and f = content * E.  Then
+    F(Y) = w^N * E(Y/w) has integer coefficients E_n*w^(N-n), and
+    w^N * E(X + c) = F(wX + u), so with e_k the coefficients of F(Y + u)
+    f(X + c) = content/w^N * sum e_k w^k X^k.  The shift by the integer u
+    is Horner's scheme on integers (von zur Gathen and Gerhard, "Fast
+    algorithms for Taylor shifts", ISSAC 1997): no binomials and no
+    rational arithmetic.
     """
     if not f:
-        return {}
+        return ZERO
     c = Fraction(c)
     u, w = c.numerator, c.denominator
-    d = 1
-    for a in f.values():
-        d = lcm(d, a.denominator)
-    n = max(f)
-    e = [0] * (n + 1)
-    scale = d                      # D*w^(N-k), for k = N down to 0
-    for k in range(n, -1, -1):
-        a = f.get(k)
-        if a:
-            e[k] = a.numerator * (scale // a.denominator)
-        scale *= w
-    if u:
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                e[j] += u * e[j + 1]
-    out = {}
-    for k, ek in enumerate(e):     # scale runs back from D*w^N to D
-        scale //= w
-        if ek:
-            out[k] = Fraction(ek, scale)
-    return out
+    n = len(f.coeffs) - 1
+    e = [x * w ** (n - k) for k, x in enumerate(f.coeffs)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            e[j] += u * e[j + 1]
+    return _normal(f.content / w ** n, [x * w ** k for k, x in enumerate(e)])
 
 
-def padic_exponent(x: Fraction, p: int) -> int:
-    """Exponent of p in the rational x; x must be nonzero."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("p-adic exponent of zero")
-    v = 0
+def padic_exponent(x, p: int) -> int:
+    """Exponent of p in the nonzero rational (or integer) x."""
     num, den = x.numerator, x.denominator
+    if not num:
+        raise ZeroValue("p-adic exponent of zero")
+    v = 0
     while num % p == 0:
         num //= p
         v += 1
@@ -170,8 +246,117 @@ def padic_exponent(x: Fraction, p: int) -> int:
 
 def padic_abs(x, p: int) -> Fraction:
     """|x|_p as an exact rational; 0 for x = 0."""
-    x = Fraction(x)
-    if x == 0:
+    if not x:
         return Fraction(0)
     v = padic_exponent(x, p)
     return Fraction(1, p ** v) if v >= 0 else Fraction(p ** -v)
+
+
+# --- text form -----------------------------------------------------------
+
+class _Parser:
+    """Recursive-descent parser for + - * ^ with parentheses, rational
+    literals and the variable T.  Degrees and exponents above MAX_DEGREE
+    are refused before anything is expanded."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def error(self, msg):
+        raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos:self.pos + 1]
+
+    def take(self, chars: str) -> str:
+        """The next character if it is one of chars, consumed; else ""."""
+        c = self.peek()
+        if c and c in chars:
+            self.pos += 1
+            return c
+        return ""
+
+    def expr(self) -> Poly:
+        node = poly_neg(self.term()) if self.take("-") else self.term()
+        while op := self.take("+-"):
+            rhs = self.term()
+            node = poly_add(node, rhs) if op == "+" else poly_sub(node, rhs)
+        return node
+
+    def term(self) -> Poly:
+        node = self.factor()
+        while self.take("*"):
+            rhs = self.factor()
+            if degree(node) + degree(rhs) > MAX_DEGREE:
+                raise TooLarge(f"product of degree {degree(node)} and "
+                               f"{degree(rhs)} exceeds {MAX_DEGREE}")
+            node = poly_mul(node, rhs)
+        return node
+
+    def factor(self) -> Poly:
+        node = self.atom()
+        while self.take("^"):
+            exp = self.integer()
+            if exp < 0:
+                self.error("negative exponent")
+            if exp > MAX_DEGREE or degree(node) * exp > MAX_DEGREE:
+                raise TooLarge(f"power {exp} of a degree-{degree(node)} "
+                               f"polynomial exceeds {MAX_DEGREE}")
+            node = poly_pow(node, exp)
+        return node
+
+    def atom(self) -> Poly:
+        if self.take("("):
+            node = self.expr()
+            if not self.take(")"):
+                self.error("expected ')'")
+            return node
+        if self.take("T"):
+            return poly_x()
+        if not self.peek().isdigit():
+            self.error(f"unexpected token {self.peek()!r}")
+        num = self.integer()
+        if not self.take("/"):
+            return poly_const(num)
+        den = self.integer()
+        if den == 0:
+            self.error("division by zero")
+        return poly_const(Fraction(num, den))
+
+    def integer(self) -> int:
+        sign = -1 if self.take("-") else 1
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected integer")
+        return sign * int(self.text[start:self.pos])
+
+
+def parse_poly(text: str) -> Poly:
+    parser = _Parser(text)
+    result = parser.expr()
+    if parser.peek():
+        parser.error(f"unexpected token {parser.peek()!r}")
+    return result
+
+
+def render_poly(f: Poly) -> str:
+    """Canonical rendering: descending degree, exact fractions."""
+    if not f:
+        return "0"
+    parts = []
+    for d, c in reversed(f.items()):
+        mag = abs(c)
+        if d == 0:
+            body = str(mag)
+        else:
+            t = "T" if d == 1 else f"T^{d}"
+            body = t if mag == 1 else f"{mag}*{t}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)

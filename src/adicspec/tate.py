@@ -1,19 +1,21 @@
 """Dense elements of the p-adic Tate algebra in one variable.
 
-A :class:`TateSeries` is a polynomial over Q with a prime attached; the
+A :class:`TateSeries` is a :class:`polys.Poly` with a prime attached; the
 polynomials are dense in Q_p<T>, and every operation implemented here
 (Gauss norm, power-boundedness, Newton polygons, unit-ideal detection for
-covers) is determined exactly on this dense subring.
+covers) is determined exactly on this dense subring, read off the content
+and the primitive integer coefficients of the normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .errors import AllZero, ContextMismatch, ParseError, ZeroSeries
+from .errors import AllZero, ContextMismatch, NotPrime, ZeroSeries
 from .ordgroup import pos_element
+from .polys import Poly
 from .value import ZERO, Value, nonzero
 
 
@@ -34,82 +36,71 @@ class PadicContext:
 
     def __post_init__(self):
         if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise NotPrime(f"{self.p} is not prime")
 
 
 @dataclass(frozen=True)
 class TateSeries:
-    """Finite-support polynomial over Q, tagged with its prime."""
+    """Polynomial over Q, tagged with its prime."""
 
     ctx: PadicContext
-    coeffs: tuple = field(default=())  # sorted tuple of (degree, Fraction)
-
-    @staticmethod
-    def from_dict(ctx: PadicContext, coeffs: dict) -> "TateSeries":
-        norm = polys.normalize(coeffs)
-        return TateSeries(ctx, tuple(sorted(norm.items())))
+    poly: Poly = polys.ZERO
 
     def as_dict(self) -> dict:
-        return dict(self.coeffs)
+        return dict(self.poly.items())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return polys.degree(self.as_dict())
+        return not self.poly
 
 
-def series(p: int, coeffs: dict) -> TateSeries:
-    return TateSeries.from_dict(PadicContext(p), coeffs)
+def series(p: int, coeffs) -> TateSeries:
+    """The series with {degree: rational} coefficients (or a Poly)."""
+    return TateSeries(PadicContext(p), polys.poly(coeffs))
 
 
-def _require_same_ctx(f: TateSeries, g: TateSeries):
+def _ctx(f: TateSeries, g: TateSeries) -> PadicContext:
     if f.ctx != g.ctx:
         raise ContextMismatch(f"{f.ctx} vs {g.ctx}")
+    return f.ctx
 
 
 def series_add(f: TateSeries, g: TateSeries) -> TateSeries:
-    _require_same_ctx(f, g)
-    return TateSeries.from_dict(f.ctx, polys.poly_add(f.as_dict(), g.as_dict()))
+    return TateSeries(_ctx(f, g), polys.poly_add(f.poly, g.poly))
 
 
 def series_sub(f: TateSeries, g: TateSeries) -> TateSeries:
-    _require_same_ctx(f, g)
-    return TateSeries.from_dict(f.ctx, polys.poly_sub(f.as_dict(), g.as_dict()))
+    return TateSeries(_ctx(f, g), polys.poly_sub(f.poly, g.poly))
 
 
 def series_mul(f: TateSeries, g: TateSeries) -> TateSeries:
-    _require_same_ctx(f, g)
-    return TateSeries.from_dict(f.ctx, polys.poly_mul(f.as_dict(), g.as_dict()))
+    return TateSeries(_ctx(f, g), polys.poly_mul(f.poly, g.poly))
 
 
 def series_pow(f: TateSeries, n: int) -> TateSeries:
-    return TateSeries.from_dict(f.ctx, polys.poly_pow(f.as_dict(), n))
+    return TateSeries(f.ctx, polys.poly_pow(f.poly, n))
 
 
 def gauss_norm(f: TateSeries) -> Value:
-    """max_n |a_n|_p as a value in the positive-rational group."""
+    """max_n |a_n|_p as a value in the positive-rational group: by Gauss's
+    lemma the primitive part has norm 1, so this is |content|_p."""
     if f.is_zero():
         return ZERO
-    m = min(polys.padic_exponent(c, f.ctx.p) for _, c in f.coeffs)
-    return nonzero(pos_element(Fraction(f.ctx.p) ** (-m)))
+    return nonzero(pos_element(polys.padic_abs(f.poly.content, f.ctx.p)))
 
 
 def is_power_bounded(f: TateSeries) -> bool:
-    g = gauss_norm(f)
-    return g.is_zero() or g.elt.payload[0] <= 1
+    return polys.padic_abs(f.poly.content, f.ctx.p) <= 1
 
 
 def is_top_nilpotent(f: TateSeries) -> bool:
-    g = gauss_norm(f)
-    return g.is_zero() or g.elt.payload[0] < 1
+    return polys.padic_abs(f.poly.content, f.ctx.p) < 1
 
 
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Lower convex hull of (degree, p-adic exponent of coefficient)."""
 
-    vertices: tuple  # ((degree, Fraction exponent), ...), increasing degree
+    vertices: tuple  # ((degree, int exponent), ...), increasing degree
     slopes: tuple    # ((slope Fraction, length int), ...), strictly increasing
 
 
@@ -118,8 +109,10 @@ def newton_polygon(f: TateSeries) -> NewtonPolygon:
     if f.is_zero():
         raise ZeroSeries("Newton polygon of the zero series")
     p = f.ctx.p
-    pts = sorted((d, Fraction(polys.padic_exponent(c, p))) for d, c in f.coeffs)
-    # Andrew-monotone-chain lower hull over exact rationals.
+    m = polys.padic_exponent(f.poly.content, p)
+    pts = [(d, m + polys.padic_exponent(e, p))
+           for d, e in enumerate(f.poly.coeffs) if e]
+    # Andrew-monotone-chain lower hull over integer points.
     hull: list = []
     for pt in pts:
         while len(hull) >= 2:
@@ -131,12 +124,12 @@ def newton_polygon(f: TateSeries) -> NewtonPolygon:
         hull.append(pt)
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = (y2 - y1) / (x2 - x1)
+        s = Fraction(y2 - y1, x2 - x1)
         if slopes and slopes[-1][0] == s:
             slopes[-1] = (s, slopes[-1][1] + (x2 - x1))
         else:
             slopes.append((s, x2 - x1))
-    return NewtonPolygon(tuple(hull), tuple((s, int(l)) for s, l in slopes))
+    return NewtonPolygon(tuple(hull), tuple(slopes))
 
 
 def generates_unit_ideal(gens) -> bool:
@@ -151,136 +144,28 @@ def generates_unit_ideal(gens) -> bool:
         raise AllZero("empty generating set")
     ctx = gens[0].ctx
     for g in gens[1:]:
-        if g.ctx != ctx:
-            raise ContextMismatch(f"{g.ctx} vs {ctx}")
+        _ctx(g, gens[0])
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         raise AllZero("all generators are zero")
-    g = nonzero[0].as_dict()
+    g = nonzero[0].poly
     for h in nonzero[1:]:
-        g = polys.poly_gcd(g, h.as_dict())
+        g = polys.poly_gcd(g, h.poly)
     if polys.degree(g) == 0:
         return True
-    if polys.order(g) > 0:
+    if not g.coeffs[0]:
         return False  # 0 is a common root, and it lies in the disc
-    np = newton_polygon(TateSeries.from_dict(ctx, g))
+    np = newton_polygon(TateSeries(ctx, g))
     # slope > 0 means root valuation < 0, i.e. absolute value > 1
     return all(s > 0 for s, _ in np.slopes)
 
 
-# --- expression parser and canonical rendering (CLI interface) -------------
-
-class _Parser:
-    """Recursive-descent parser for + - * ^ with parentheses, rational
-    literals and the variable T."""
-
-    def __init__(self, text: str, p: int):
-        self.text = text
-        self.pos = 0
-        self.p = p
-
-    def error(self, msg):
-        raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> TateSeries:
-        result = self.expr()
-        if self.peek():
-            self.error(f"unexpected token {self.peek()!r}")
-        return result
-
-    def expr(self):
-        if self.peek() == "-":
-            self.pos += 1
-            node = TateSeries.from_dict(
-                PadicContext(self.p), polys.poly_neg(self.term().as_dict()))
-        else:
-            node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.term()
-            node = series_add(node, rhs) if op == "+" else series_sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            node = series_mul(node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
-            exp = self.integer()
-            if exp < 0:
-                self.error("negative exponent")
-            node = series_pow(node, exp)
-        return node
-
-    def atom(self):
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return node
-        if c == "T":
-            self.pos += 1
-            return series(self.p, polys.poly_x())
-        if c.isdigit():
-            return series(self.p, polys.poly_const(self.rational()))
-        self.error(f"unexpected token {c!r}")
-
-    def integer(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            sign = -1
-            self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected integer")
-        return sign * int(self.text[start:self.pos])
-
-    def rational(self) -> Fraction:
-        num = self.integer()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.integer()
-            if den == 0:
-                self.error("division by zero")
-            return Fraction(num, den)
-        return Fraction(num)
-
+# --- text form (CLI interface) ---------------------------------------------
 
 def parse_series(text: str, p: int) -> TateSeries:
-    return _Parser(text, p).parse()
+    return TateSeries(PadicContext(p), polys.parse_poly(text))
 
 
 def render_series(f: TateSeries) -> str:
     """Canonical rendering: descending degree, exact fractions."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for d, c in sorted(f.coeffs, reverse=True):
-        mag = abs(c)
-        if d == 0:
-            body = str(mag)
-        else:
-            t = "T" if d == 1 else f"T^{d}"
-            body = t if mag == 1 else f"{mag}*{t}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return polys.render_poly(f.poly)

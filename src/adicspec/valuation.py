@@ -1,8 +1,8 @@
 """Concrete valuations on the supported base rings.
 
-Supported rings: Z, Q, F_p, Q[T], Q(T).  Ring elements are plain Python
-data: int, Fraction, int mod p, coefficient dict, or a reduced pair of
-coefficient dicts with monic denominator.
+Supported rings: Z, Q, F_p, Q[T], Q(T).  Ring elements are int, Fraction,
+int mod p, :class:`polys.Poly`, or a reduced pair of Polys with monic
+denominator; Q[T] ideal generators are Polys too.
 
 Valuation kinds form a closed tagged union so that support, equivalence,
 specialization and the horizontal/vertical calculus all have exact
@@ -15,12 +15,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
+from math import isqrt
 
 from . import polys
 from .errors import (
     CharacteristicGroupNotContained,
+    MalformedIdeal,
+    MalformedValuation,
     NotContinuous,
     NotConvexSubgroupOfValueGroup,
+    NotPrime,
     ParseError,
     UnsupportedKind,
     WrongRing,
@@ -43,7 +47,8 @@ from .ordgroup import (
     trivial_subgroup,
     unit,
 )
-from .tate import PadicContext, TateSeries, _is_prime
+from .polys import Poly
+from .tate import TateSeries, _is_prime
 from .value import (
     ZERO,
     Value,
@@ -69,7 +74,7 @@ class BaseRing:
 
     def __post_init__(self):
         if self.kind is RingKind.FINITE_FIELD and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise NotPrime(f"{self.p} is not prime")
 
 
 _ORDER_KEY = cmp_to_key(group_cmp)
@@ -84,17 +89,19 @@ def finite_field(p: int) -> BaseRing:
     return BaseRing(RingKind.FINITE_FIELD, p)
 
 
-def ratfunc(num: dict, den: dict):
-    """Reduced representative with monic denominator."""
-    if polys.is_zero(den):
+def ratfunc(num, den):
+    """Reduced representative with monic denominator, from two Polys or
+    {degree: rational} mappings."""
+    num, den = polys.poly(num), polys.poly(den)
+    if not den:
         raise ZeroDivisionError("zero denominator")
-    if polys.is_zero(num):
-        return ({}, polys.poly_const(1))
+    if not num:
+        return (polys.ZERO, polys.poly_const(1))
     g = polys.poly_gcd(num, den)
     num, _ = polys.poly_divmod(num, g)
     den, _ = polys.poly_divmod(den, g)
     lead = den[polys.degree(den)]
-    return (polys.poly_scale(num, 1 / lead), polys.poly_scale(den, 1 / lead))
+    return polys.poly_mul(num, polys.poly_const(1 / lead)), polys.poly_monic(den)
 
 
 def ring_is_zero(ring: BaseRing, a) -> bool:
@@ -102,9 +109,9 @@ def ring_is_zero(ring: BaseRing, a) -> bool:
     if k is RingKind.FINITE_FIELD:
         return a % ring.p == 0
     if k is RingKind.POLY_OVER_Q:
-        return polys.is_zero(a)
+        return not a
     if k is RingKind.RATFUNC_Q:
-        return polys.is_zero(a[0])
+        return not a[0]
     return a == 0
 
 
@@ -118,7 +125,7 @@ class IdealKind(Enum):
 class PrimeIdealDescriptor:
     kind: IdealKind
     p: int = 0
-    generator: tuple = ()  # sorted (degree, Fraction) pairs for POLY_GEN
+    generator: Poly | None = None  # monic irreducible, for POLY_GEN
 
     @staticmethod
     def zero() -> "PrimeIdealDescriptor":
@@ -127,60 +134,37 @@ class PrimeIdealDescriptor:
     @staticmethod
     def prime(p: int) -> "PrimeIdealDescriptor":
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise NotPrime(f"{p} is not prime")
         return PrimeIdealDescriptor(IdealKind.PRIME_P, p=p)
 
     @staticmethod
-    def poly(generator: dict) -> "PrimeIdealDescriptor":
+    def poly(generator: Poly) -> "PrimeIdealDescriptor":
         gen = polys.poly_monic(generator)
         if polys.degree(gen) < 1:
-            raise ValueError("generator must be nonconstant")
+            raise MalformedIdeal("generator must be nonconstant")
         if not _poly_is_irreducible(gen):
-            raise ValueError("generator must be irreducible over Q")
-        return PrimeIdealDescriptor(IdealKind.POLY_GEN,
-                                    generator=tuple(sorted(gen.items())))
+            raise MalformedIdeal("generator must be irreducible over Q")
+        return PrimeIdealDescriptor(IdealKind.POLY_GEN, generator=gen)
 
 
-def _poly_is_irreducible(f: dict) -> bool:
+def _poly_is_irreducible(f: Poly) -> bool:
     """Irreducibility over Q for the small degrees this library builds:
     degree 1 always; degree 2 and 3 iff no rational root; higher degrees
-    are rejected (not needed by any supported construction)."""
-    d = polys.degree(f)
+    are rejected (not needed by any supported construction).  A root a/b
+    of the primitive part e has a | e_0 and b | e_N (rational root
+    theorem)."""
+    d, e = polys.degree(f), f.coeffs
     if d == 1:
         return True
-    if d in (2, 3):
-        return not _has_rational_root(f)
-    raise ValueError(f"irreducibility test not supported for degree {d}")
+    if d not in (2, 3):
+        raise UnsupportedKind(f"irreducibility test not supported for degree {d}")
+    return e[0] != 0 and not any(polys.poly_eval(f, Fraction(s * a, b)) == 0
+                                 for a in _divisors(abs(e[0]))
+                                 for b in _divisors(e[-1]) for s in (1, -1))
 
 
-def _has_rational_root(f: dict) -> bool:
-    # rational root theorem on the integer-cleared polynomial
-    from math import gcd, lcm
-    mult = lcm(*[c.denominator for c in f.values()])
-    g = {d: int(c * mult) for d, c in f.items()}
-    d = polys.degree(g)
-    a0 = g.get(polys.order(g), 0)
-    if polys.order(g) > 0:
-        return True  # root 0
-    lead = g[d]
-    for pnum in _divisors(abs(a0)):
-        for pden in _divisors(abs(lead)):
-            if gcd(pnum, pden) != 1:
-                continue
-            for sign in (1, -1):
-                if polys.poly_eval(f, Fraction(sign * pnum, pden)) == 0:
-                    return True
-    return False
-
-
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend([d, n // d])
-        d += 1
-    return sorted(set(out))
+def _divisors(n: int) -> set:
+    return {x for d in range(1, isqrt(n) + 1) if n % d == 0 for x in (d, n // d)}
 
 
 def ideal_member(ring: BaseRing, P: PrimeIdealDescriptor, a) -> bool:
@@ -188,8 +172,8 @@ def ideal_member(ring: BaseRing, P: PrimeIdealDescriptor, a) -> bool:
         return ring_is_zero(ring, a)
     if P.kind is IdealKind.PRIME_P:
         return a % P.p == 0
-    _, r = polys.poly_divmod(a, dict(P.generator))
-    return polys.is_zero(r)
+    _, r = polys.poly_divmod(a, P.generator)
+    return not r
 
 
 @dataclass(frozen=True)
@@ -199,7 +183,7 @@ class IdealOfDefinition:
 
     def __post_init__(self):
         if not self.generators:
-            raise ValueError("ideal needs at least one generator")
+            raise MalformedIdeal("ideal needs at least one generator")
 
 
 class ValuationKind(Enum):
@@ -229,17 +213,17 @@ def padic_valuation(ring: BaseRing, p: int, rho=None) -> Valuation:
     if ring.kind not in (RingKind.INTEGERS_Z, RingKind.RATIONALS_Q):
         raise WrongRing("p-adic valuations live on Z or Q here")
     if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise NotPrime(f"{p} is not prime")
     rho = Fraction(rho) if rho is not None else Fraction(1, p)
     if not (0 < rho < 1):
-        raise ValueError("rho must lie in (0, 1)")
+        raise MalformedValuation("rho must lie in (0, 1)")
     return Valuation(ring, ValuationKind.PADIC, p=p, rho=rho)
 
 
 def degree_valuation(rho) -> Valuation:
     rho = Fraction(rho)
     if not (0 < rho < 1):
-        raise ValueError("rho must lie in (0, 1)")
+        raise MalformedValuation("rho must lie in (0, 1)")
     return Valuation(RING_QRAT, ValuationKind.DEGREE, rho=rho)
 
 
@@ -272,7 +256,7 @@ def eval_valuation(v: Valuation, a) -> Value:
         return nonzero(pos_element(v.rho ** polys.padic_exponent(Fraction(a), v.p)))
     if k is ValuationKind.DEGREE:
         num, den = a
-        if polys.is_zero(num):
+        if not num:
             return ZERO
         return nonzero(pos_element(v.rho ** (polys.degree(den) - polys.degree(num))))
     if k is ValuationKind.PADIC_COMPOSITE:
@@ -284,7 +268,7 @@ def eval_valuation(v: Valuation, a) -> Value:
             return nonzero(element_into_subgroup(base, v.H))
         return ZERO
     from . import disc
-    return disc.eval_at(v.point, TateSeries.from_dict(PadicContext(v.p), a))
+    return disc.eval_at(v.point, TateSeries(v.point.ctx, a))
 
 
 def support(v: Valuation) -> PrimeIdealDescriptor:
@@ -523,7 +507,7 @@ def parse_valuation(text: str, ring: BaseRing) -> Valuation:
             return trivial_valuation(ring, PrimeIdealDescriptor.prime(n))
         if head == "deg":
             return degree_valuation(Fraction(rest))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError, NotPrime, MalformedValuation) as exc:
         raise ParseError(f"bad valuation literal {text!r}: {exc}") from exc
     raise ParseError(f"unknown valuation literal {text!r}")
 
@@ -554,8 +538,7 @@ def parse_ideal(text: str, ring: BaseRing) -> IdealOfDefinition:
     for part in text[1:-1].split(","):
         part = part.strip()
         if ring.kind is RingKind.POLY_OVER_Q:
-            from .tate import parse_series
-            gens.append(parse_series(part, 2).as_dict())
+            gens.append(polys.parse_poly(part))
         else:
             try:
                 gens.append(Fraction(part) if ring.kind is RingKind.RATIONALS_Q
@@ -570,17 +553,10 @@ def render_ideal_descriptor(P: PrimeIdealDescriptor) -> str:
         return "(0)"
     if P.kind is IdealKind.PRIME_P:
         return f"({P.p})"
-    from .tate import TateSeries, render_series
-    f = TateSeries.from_dict(PadicContext(2), dict(P.generator))
-    return f"({render_series(f)})"
+    return f"({polys.render_poly(P.generator)})"
 
 
 def render_ideal(I: IdealOfDefinition) -> str:
-    parts = []
-    for g in I.generators:
-        if isinstance(g, dict):
-            from .tate import TateSeries, render_series
-            parts.append(render_series(TateSeries.from_dict(PadicContext(2), g)))
-        else:
-            parts.append(str(g))
+    parts = [polys.render_poly(g) if isinstance(g, Poly) else str(g)
+             for g in I.generators]
     return "(" + ",".join(parts) + ")"

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import json
 import sys
+import time
 import weakref
 
 import pytest
@@ -92,6 +93,22 @@ class TestEval:
     def test_nonprime_rejected(self):
         res = run("eval", "--point", "ball:0,1", "--poly", "T", "-p", "6")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("poly", ["T^100000000", "(T+1)^100000",
+                                      "T^6000*T^6000"])
+    def test_degree_cap(self, poly):
+        t0 = time.perf_counter()
+        res = run("eval", "--point", "ball:0,1", "--poly", poly, "-p", "5")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error[too-large]")
+
+    def test_power_within_the_cap(self):
+        args = ("eval", "--point", "ball:1/3,1/2", "--poly", "(T+1)^400", "-p", "5")
+        assert run(*args).stdout == "1\n"
+        data = json.loads(run(*args, "--format", "structured").stdout)
+        assert data["poly"].startswith("T^400 + 400*T^399 + 79800*T^398 + ")
+        assert data["poly"].endswith(" + 79800*T^2 + 400*T + 1")
 
 
 class TestClassify:
@@ -280,6 +297,21 @@ class TestRetract:
         assert res.stderr.startswith("error[parse-error]")
 
 
+class TestTypedErrorsExitTwo:
+    @pytest.mark.parametrize("args", [
+        ("retract", "--valuation", "padic:4", "--ideal", "(5)", "--ring", "Z"),
+        ("specializes", "trivial:9", "padic:5", "--ring", "Z"),
+        ("specializes", "deg:2", "deg:1/2", "--ring", "Q"),
+        ("specializes", "deg:1/0", "deg:1/2", "--ring", "Q"),
+        ("group", "height", "--group", "lex:0"),
+        ("group", "mul", "2", "1", "--group", "trivial"),
+    ])
+    def test_parse_error(self, args):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error[parse-error]")
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         a = run("spv", "--ring", "Z", "--bound", "10").output
@@ -314,6 +346,16 @@ class TestInProcessStreams:
                 runner.invoke(main, list(args))
         gc.collect()
         assert len(runner.streams) == 40
+        assert [ref for ref in runner.streams if ref() is not None] == []
+
+    def test_help_leaves_no_stream_behind(self):
+        runner = _StreamRecordingRunner()
+        for _ in range(5):
+            for args in (("--help",), ("eval", "--help"), ("group", "--help")):
+                res = runner.invoke(main, list(args))
+                assert res.exit_code == 0 and res.stdout.startswith("Usage: ")
+        gc.collect()
+        assert len(runner.streams) == 30
         assert [ref for ref in runner.streams if ref() is not None] == []
 
     def test_output_still_reaches_the_runner(self):

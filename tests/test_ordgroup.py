@@ -102,6 +102,21 @@ class TestElementShape:
             make(r)
         assert exc.value.code == "malformed-element"
 
+    def test_lex_arity_must_be_positive(self):
+        with pytest.raises(MalformedElement) as exc:
+            lex_group(0)
+        assert exc.value.code == "malformed-element"
+
+    @pytest.mark.parametrize("group,text", [
+        (trivial_group(), "2"),
+        (lex_group(2), "1,2"),
+        (radius_below_group(Fraction(1, 2)), "1*g^1@1/3<"),
+    ])
+    def test_unparsable_element_is_parse_error(self, group, text):
+        with pytest.raises(ParseError) as exc:
+            parse_element(group, text)
+        assert str(exc.value) == f"cannot parse group element {text!r}"
+
     def test_malformed_payload_rejected_under_optimize(self):
         # the check must not vanish with assertions under python -O
         code = ("from adicspec.errors import MalformedElement\n"

@@ -5,9 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from adicspec.errors import AllZero, ContextMismatch, ParseError, ZeroSeries
+from adicspec.errors import (
+    AllZero,
+    ContextMismatch,
+    NotPrime,
+    ParseError,
+    ZeroSeries,
+)
 from adicspec.ordgroup import pos_element
 from adicspec.tate import (
+    PadicContext,
     TateSeries,
     gauss_norm,
     generates_unit_ideal,
@@ -34,6 +41,13 @@ def random_series(rng, p, max_deg=12):
             if num:
                 coeffs[d] = Fraction(num, den)
     return series(p, coeffs)
+
+
+class TestContext:
+    def test_composite_prime_is_a_typed_error(self):
+        with pytest.raises(NotPrime) as exc:
+            PadicContext(4)
+        assert exc.value.code == "not-prime"
 
 
 class TestArithmetic:
@@ -146,7 +160,7 @@ class TestNewtonPolygon:
             if f.is_zero():
                 continue
             np_ = newton_polygon(f)
-            degs = sorted(d for d, _ in f.coeffs)
+            degs = sorted(d for d, _ in f.poly.items())
             assert sum(l for _, l in np_.slopes) == degs[-1] - degs[0]
 
 

@@ -8,8 +8,12 @@ import pytest
 from adicspec import polys
 from adicspec.errors import (
     CharacteristicGroupNotContained,
+    MalformedIdeal,
+    MalformedValuation,
     NotContinuous,
+    NotPrime,
     ParseError,
+    UnsupportedKind,
     WrongRing,
 )
 from adicspec.ordgroup import (
@@ -24,6 +28,7 @@ from adicspec.ordgroup import (
 )
 from adicspec.valuation import (
     RING_Q,
+    RING_QT,
     RING_Z,
     IdealKind,
     IdealOfDefinition,
@@ -34,6 +39,7 @@ from adicspec.valuation import (
     degree_valuation,
     disc_point_valuation,
     equivalent,
+    finite_field,
     eval_valuation,
     horizontal_restrict,
     is_analytic,
@@ -43,6 +49,7 @@ from adicspec.valuation import (
     parse_valuation,
     ratfunc,
     render_ideal,
+    render_ideal_descriptor,
     render_valuation,
     retract,
     specializes,
@@ -281,3 +288,66 @@ class TestLiterals:
             parse_valuation("padic:x", RING_Z)
         with pytest.raises(ParseError):
             parse_ideal("5", RING_Z)
+
+
+class TestTypedErrors:
+    """Each invalid construction raises its own AdicError."""
+
+    def test_finite_field_needs_a_prime(self):
+        with pytest.raises(NotPrime):
+            finite_field(4)
+
+    def test_prime_ideal_needs_a_prime(self):
+        with pytest.raises(NotPrime):
+            PrimeIdealDescriptor.prime(6)
+
+    def test_poly_ideal_needs_a_nonconstant_generator(self):
+        with pytest.raises(MalformedIdeal):
+            PrimeIdealDescriptor.poly(polys.poly_const(3))
+
+    @pytest.mark.parametrize("text", ["T^2 - 1/4", "T^3 + 3*T", "2*T^3 - T^2 - 1"])
+    def test_poly_ideal_needs_an_irreducible_generator(self, text):
+        with pytest.raises(MalformedIdeal):
+            PrimeIdealDescriptor.poly(polys.parse_poly(text))
+
+    def test_irreducible_generators_accepted(self):
+        for text in ("T^2 + 1", "T^3 - 2", "3*T^2 - 5/2"):
+            P = PrimeIdealDescriptor.poly(polys.parse_poly(text))
+            assert P.generator == polys.poly_monic(polys.parse_poly(text))
+
+    def test_irreducibility_above_degree_three_unsupported(self):
+        with pytest.raises(UnsupportedKind):
+            PrimeIdealDescriptor.poly(polys.parse_poly("T^4 + 1"))
+
+    def test_ideal_needs_a_generator(self):
+        with pytest.raises(MalformedIdeal):
+            IdealOfDefinition(RING_Z, ())
+
+    def test_padic_valuation_needs_a_prime(self):
+        with pytest.raises(NotPrime):
+            padic_valuation(RING_Z, 9)
+
+    def test_padic_rho_in_unit_interval(self):
+        with pytest.raises(MalformedValuation):
+            padic_valuation(RING_Q, 5, rho=Fraction(3, 2))
+
+    def test_degree_rho_in_unit_interval(self):
+        with pytest.raises(MalformedValuation):
+            degree_valuation(1)
+
+    @pytest.mark.parametrize("text", ["padic:4", "trivial:9", "deg:2", "deg:1/0"])
+    def test_literal_errors_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_valuation(text, RING_Z)
+
+
+class TestPolynomialRing:
+    def test_poly_ideal_generator_is_monic(self):
+        P = PrimeIdealDescriptor.poly(polys.parse_poly("2*T^2 + 2*T + 2"))
+        assert P.generator == polys.parse_poly("T^2 + T + 1")
+        assert render_ideal_descriptor(P) == "(T^2 + T + 1)"
+
+    def test_ideal_of_polynomials(self):
+        I = parse_ideal("(T^2 - 1/5*T, 5)", RING_QT)
+        assert I.generators == (polys.parse_poly("T^2 - 1/5*T"), polys.poly_const(5))
+        assert render_ideal(I) == "(T^2 - 1/5*T,5)"
