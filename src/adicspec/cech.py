@@ -77,8 +77,9 @@ def _subsets(n: int):
 def presheaf(n: int, dims: dict, res: dict) -> FinitePresheaf:
     """Validate dimensions, matrix shapes and functoriality."""
     dims = {frozenset(k): int(v) for k, v in dims.items()}
-    res = {(frozenset(a), frozenset(b)): tuple(tuple(Fraction(x) for x in row)
-                                               for row in m)
+    # tuples of lists, not of generators, throughout: see polys._normal
+    res = {(frozenset(a), frozenset(b)):
+           tuple([tuple([Fraction(x) for x in row]) for row in m])
            for (a, b), m in res.items()}
     for S in _subsets(n):
         if S not in dims:
@@ -269,7 +270,7 @@ def _build(P: FinitePresheaf, qmax: int, alternating: bool) -> CechComplex:
     for q in range(qmax + 1):
         matrix, src_dim, dst_dim = _differential(P, q, alternating)
         spaces.append(src_dim)
-        diffs.append(tuple(tuple(row) for row in matrix))
+        diffs.append(tuple([tuple(row) for row in matrix]))
     return CechComplex(tuple(spaces), dst_dim, tuple(diffs))
 
 
@@ -437,8 +438,8 @@ def lambda_map(g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
 def laurent_split(L: LaurentPoly):
     """Split L into (g, h) with lambda(g, h) = L: g is the part of L in
     non-negative degrees and h = -(negative part) re-indexed in eta."""
-    g = LaurentPoly(tuple((d, c) for d, c in L.coeffs if d >= 0))
-    h = LaurentPoly(tuple((d, c) for d, c in L.coeffs if d < 0))
+    g = LaurentPoly(tuple([(d, c) for d, c in L.coeffs if d >= 0]))
+    h = LaurentPoly(tuple([(d, c) for d, c in L.coeffs if d < 0]))
     return g, laurent_invert_variable(laurent_neg(h))
 
 

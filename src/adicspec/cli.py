@@ -15,7 +15,7 @@ from functools import wraps
 
 import click
 
-from . import cech, disc, ordgroup, spectral, tate, valuation
+from . import __version__, cech, disc, ordgroup, spectral, tate, valuation
 from .errors import AdicError, MalformedElement, NotPrime, ParseError
 from .valuation import RING_Q, RING_Z, BaseRing, finite_field
 
@@ -43,11 +43,19 @@ def _render_value(val) -> str:
 # click.echo() with no file caches a wrapper per sys.stdout/sys.stderr object
 # and keeps it alive, so each in-process run (CliRunner) would leave its
 # capture buffers behind; an explicit uncached stream leaves nothing.  The
-# --help option click adds echoes with no file, so its callback is replaced.
+# --help option click adds echoes with no file, so its callback is replaced,
+# and --version is an option of our own for the same reason.
 
 def _show_help(ctx: click.Context, param, value: bool) -> None:
     if value and not ctx.resilient_parsing:
         click.echo(ctx.get_help(), color=ctx.color,
+                   file=click.get_text_stream("stdout"))
+        ctx.exit()
+
+
+def _show_version(ctx: click.Context, param, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(f"{ctx.find_root().info_name}, version {__version__}",
                    file=click.get_text_stream("stdout"))
         ctx.exit()
 
@@ -91,13 +99,14 @@ prime_option = click.option(
 
 
 def _check_prime(p: int) -> int:
-    if not tate._is_prime(p):
+    if not tate.is_prime(p):
         raise click.UsageError(f"-p/--prime: {p} is not prime")
     return p
 
 
 @click.group(cls=_Group)
-@click.version_option(package_name="adicspec")
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_show_version, help="Show the version and exit.")
 def main() -> None:
     """Exact computations with valuations, disc points and covers."""
 
@@ -115,14 +124,17 @@ def spv(ring_name: str, bound: int, fmt: str) -> None:
         raise ParseError(f"--bound must be non-negative, got {bound}")
     ring = _resolve_ring(ring_name)
     model = spectral.spv_enumerate(ring, bound)
+    # (x, y) is in the order exactly when x lies in the closure of {y}
+    closures = {label: [] for label in model.space.points}
+    for x, y in model.space.order:
+        closures[y].append(x)
     rows = []
     for label in model.space.points:
-        cl = sorted(spectral.closure(model.space, {label}))
         rows.append({
             "point": label,
             "kind": model.valuations[label].kind.value,
             "support": valuation.render_ideal_descriptor(model.supp_map[label]),
-            "closure": cl,
+            "closure": sorted(closures[label]),
         })
     lines = [f"{len(rows)} points"]
     for row in rows:

@@ -294,7 +294,8 @@ def rational_cover(gens) -> CoverSpec:
     gens = tuple(gens)
     if not generates_unit_ideal(gens):
         raise NotUnitIdeal("generators have a common zero in the disc")
-    members = tuple(rational_subset(gens, t) for t in gens)
+    # tuple() of a list, not of a generator: see polys._normal
+    members = tuple([rational_subset(gens, t) for t in gens])
     return CoverSpec(CoverKind.RATIONAL, gens, members)
 
 
@@ -339,7 +340,7 @@ def parse_rational_subset(text: str, p: int) -> RationalSubsetSpec:
     if ";" not in body:
         raise ParseError("rational-subset literal needs 'R(t1,...;s)'")
     nums_text, s_text = body.rsplit(";", 1)
-    nums = tuple(parse_series(t, p) for t in nums_text.split(","))
+    nums = tuple([parse_series(t, p) for t in nums_text.split(",")])
     return rational_subset(nums, parse_series(s_text, p))
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from .errors import (NotAPreorder, NotASpecialization, NotKolmogorov,
-                     UnknownPoint, UnsupportedRing)
+                     TooLarge, UnknownPoint, UnsupportedRing)
 from .ordgroup import ConvexSubgroup, full_subgroup, trivial_subgroup
 from .valuation import (
     BaseRing,
@@ -130,27 +131,36 @@ class SpvModel:
     supp_map: dict    # label -> PrimeIdealDescriptor
 
 
+MAX_BOUND = 10000  # largest prime bound spv_enumerate accepts
+
+
 def _primes_up_to(bound: int):
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % q for q in out):
-            out.append(n)
-    return out
+    """The primes <= bound, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+    for n in range(2, isqrt(bound) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, bound + 1, n)))
+    return [n for n in range(bound + 1) if sieve[n]]
 
 
 def spv_enumerate(ring: BaseRing, bound: int) -> SpvModel:
     """Hard-enumerated valuation spectrum of Z, Q or a finite field, with
-    primes listed up to the bound."""
+    primes listed up to the bound (at most MAX_BOUND)."""
+    if bound > MAX_BOUND:
+        raise TooLarge(f"prime bound {bound} is above {MAX_BOUND}")
     if ring.kind is RingKind.FINITE_FIELD:
         label = "|.|_0"
         space = finite_space([label], [])
         vals = {label: trivial_valuation(ring, PrimeIdealDescriptor.zero())}
     elif ring.kind is RingKind.RATIONALS_Q:
-        labels = ["|.|_0"] + [f"|.|_{p}" for p in _primes_up_to(bound)]
+        primes = _primes_up_to(bound)
+        labels = ["|.|_0"] + [f"|.|_{p}" for p in primes]
         pairs = [(lab, "|.|_0") for lab in labels]
         space = finite_space(labels, pairs)
         vals = {"|.|_0": trivial_valuation(ring, PrimeIdealDescriptor.zero())}
-        for p in _primes_up_to(bound):
+        for p in primes:
             vals[f"|.|_{p}"] = padic_valuation(ring, p)
     elif ring.kind is RingKind.INTEGERS_Z:
         primes = _primes_up_to(bound)

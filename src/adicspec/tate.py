@@ -13,20 +13,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .errors import AllZero, ContextMismatch, NotPrime, ZeroSeries
+from .errors import AllZero, ContextMismatch, NotPrime, TooLarge, ZeroSeries
 from .ordgroup import pos_element
 from .polys import Poly
 from .value import ZERO, Value, nonzero
 
 
-def _is_prime(p: int) -> bool:
+# The first 13 primes.  Miller-Rabin to all of them as bases is exact
+# below PSI_13 (Sorenson & Webster, Math. Comp. 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Exact primality in O(log p) multiplications: trial division by the
+    13 bases, then Miller-Rabin to them.  p >= PSI_13 raises TooLarge, so
+    no prime is accepted on an unproven test.
+    """
+    if p >= PSI_13:
+        raise TooLarge(f"{p}: primality is proven only below {PSI_13}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -35,7 +59,7 @@ class PadicContext:
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
 

@@ -48,7 +48,7 @@ from .ordgroup import (
     unit,
 )
 from .polys import Poly
-from .tate import TateSeries, _is_prime
+from .tate import TateSeries, is_prime
 from .value import (
     ZERO,
     Value,
@@ -73,7 +73,7 @@ class BaseRing:
     p: int = 0
 
     def __post_init__(self):
-        if self.kind is RingKind.FINITE_FIELD and not _is_prime(self.p):
+        if self.kind is RingKind.FINITE_FIELD and not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
 
@@ -133,7 +133,7 @@ class PrimeIdealDescriptor:
 
     @staticmethod
     def prime(p: int) -> "PrimeIdealDescriptor":
-        if not _is_prime(p):
+        if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         return PrimeIdealDescriptor(IdealKind.PRIME_P, p=p)
 
@@ -212,7 +212,7 @@ def trivial_valuation(ring: BaseRing, supp: PrimeIdealDescriptor) -> Valuation:
 def padic_valuation(ring: BaseRing, p: int, rho=None) -> Valuation:
     if ring.kind not in (RingKind.INTEGERS_Z, RingKind.RATIONALS_Q):
         raise WrongRing("p-adic valuations live on Z or Q here")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     rho = Fraction(rho) if rho is not None else Fraction(1, p)
     if not (0 < rho < 1):

@@ -3,14 +3,20 @@
 import contextlib
 import gc
 import json
+import os
+import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from adicspec import __version__, spectral, valuation
 from adicspec.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(*args):
@@ -63,6 +69,35 @@ class TestSpv:
             assert res.exit_code == 0
             assert res.output.splitlines()[0] == "1 points"
 
+    @pytest.mark.parametrize("ring", ["Z", "Q"])
+    def test_closure_column_is_the_closure_of_the_point(self, ring):
+        res = run("spv", "--ring", ring, "--bound", "60", "--format",
+                  "structured")
+        assert res.exit_code == 0
+        model = spectral.spv_enumerate(valuation.RING_Z if ring == "Z"
+                                       else valuation.RING_Q, 60)
+        rows = json.loads(res.stdout)["points"]
+        assert [row["point"] for row in rows] == list(model.space.points)
+        for row in rows:
+            assert row["closure"] == sorted(
+                spectral.closure(model.space, {row["point"]}))
+
+    @pytest.mark.parametrize("bound", ["10001", "100000000"])
+    def test_bound_above_the_cap_too_large(self, bound):
+        assert spectral.MAX_BOUND == 10000
+        t0 = time.perf_counter()
+        res = run("spv", "--ring", "Z", "--bound", bound)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error[too-large]")
+
+    def test_bound_at_the_cap_accepted(self):
+        # F7 lists no primes, so this checks the cap, not the enumeration.
+        res = run("spv", "--ring", "F7", "--bound", "10000")
+        assert res.exit_code == 0
+        assert res.stdout.splitlines()[0] == "1 points"
+
 
 class TestEval:
     def test_gauss(self):
@@ -93,6 +128,20 @@ class TestEval:
     def test_nonprime_rejected(self):
         res = run("eval", "--point", "ball:0,1", "--poly", "T", "-p", "6")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("p", ["1000000000039", "1000000000000000003"])
+    def test_large_prime_is_fast(self, p):
+        t0 = time.perf_counter()
+        res = run("eval", "--point", "ball:0,1", "--poly", "5*T+1", "-p", p)
+        assert time.perf_counter() - t0 < 1.0
+        assert (res.exit_code, res.stdout) == (0, "1\n")
+
+    def test_prime_beyond_the_proven_range_too_large(self):
+        res = run("eval", "--point", "ball:0,1", "--poly", "5*T+1",
+                  "-p", "3317044064679887385961981")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error[too-large]")
 
     @pytest.mark.parametrize("poly", ["T^100000000", "(T+1)^100000",
                                       "T^6000*T^6000"])
@@ -312,6 +361,20 @@ class TestTypedErrorsExitTwo:
         assert res.stderr.startswith("error[parse-error]")
 
 
+class TestVersion:
+    def test_in_process(self):
+        res = run("--version")
+        assert (res.exit_code, res.stdout) == (0, f"main, version {__version__}\n")
+
+    def test_subprocess_from_the_source_tree(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-m", "adicspec.cli", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(f", version {__version__}\n")
+        assert proc.stderr == ""
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         a = run("spv", "--ring", "Z", "--bound", "10").output
@@ -356,6 +419,15 @@ class TestInProcessStreams:
                 assert res.exit_code == 0 and res.stdout.startswith("Usage: ")
         gc.collect()
         assert len(runner.streams) == 30
+        assert [ref for ref in runner.streams if ref() is not None] == []
+
+    def test_version_leaves_no_stream_behind(self):
+        runner = _StreamRecordingRunner()
+        for _ in range(5):
+            res = runner.invoke(main, ["--version"])
+            assert res.exit_code == 0 and __version__ in res.stdout
+        gc.collect()
+        assert len(runner.streams) == 10
         assert [ref for ref in runner.streams if ref() is not None] == []
 
     def test_output_still_reaches_the_runner(self):

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicspec.errors import MalformedElement, MismatchedGroups, ParseError
 from adicspec.ordgroup import (
@@ -201,6 +203,53 @@ class TestOrder:
         rng = random.Random(13)
         for a in sample_elements(G, rng, 15):
             assert group_lt(a, unit(G)) == group_lt(unit(G), group_inv(a))
+
+
+_ratios = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_positives = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
+_AXIOM_GROUPS = (lex_group(1), lex_group(2), lex_group(3),
+                 pos_rational_group(), radius_below_group(Fraction(1, 2)),
+                 radius_below_group(1), radius_above_group(Fraction(1, 3)))
+
+
+def _elements(G):
+    if G.kind.name == "LEX_RATIONAL":
+        return st.lists(_ratios, min_size=G.n, max_size=G.n).map(
+            lambda xs: lex_element(G, xs))
+    if G.kind.name == "POS_RATIONAL":
+        return _positives.map(pos_element)
+    return st.builds(lambda q, k: radius_element(G, q, k), _positives,
+                     st.integers(-4, 4))
+
+
+_triples = st.sampled_from(_AXIOM_GROUPS).flatmap(
+    lambda G: st.tuples(_elements(G), _elements(G), _elements(G)))
+
+
+class TestOrderedGroupAxioms:
+    """lex:n, posq and the radius groups are totally ordered abelian
+    groups whose order is compatible with the product."""
+
+    @settings(max_examples=100)
+    @given(_triples)
+    def test_abelian_group(self, abc):
+        a, b, c = abc
+        e = unit(a.group)
+        assert group_mul(group_mul(a, b), c) == group_mul(a, group_mul(b, c))
+        assert group_mul(a, b) == group_mul(b, a)
+        assert group_mul(a, e) == a
+        assert group_mul(a, group_inv(a)) == e
+
+    @settings(max_examples=100)
+    @given(_triples)
+    def test_total_order_compatible_with_product(self, abc):
+        a, b, c = abc
+        assert group_cmp(a, b) == -group_cmp(b, a)
+        assert (group_cmp(a, b) == 0) == (a == b)
+        if group_le(a, b) and group_le(b, c):
+            assert group_le(a, c)
+        if group_le(a, b):
+            assert group_le(group_mul(a, c), group_mul(b, c))
 
 
 class TestConvexSubgroups:

@@ -4,21 +4,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicspec.errors import (
     AllZero,
     ContextMismatch,
     NotPrime,
     ParseError,
+    TooLarge,
     ZeroSeries,
 )
 from adicspec.ordgroup import pos_element
 from adicspec.tate import (
+    PSI_13,
     PadicContext,
     TateSeries,
     gauss_norm,
     generates_unit_ideal,
     is_power_bounded,
+    is_prime,
     is_top_nilpotent,
     newton_polygon,
     parse_series,
@@ -43,11 +48,67 @@ def random_series(rng, p, max_deg=12):
     return series(p, coeffs)
 
 
+def trial_division(n: int) -> bool:
+    """The oracle: n is prime iff no d with d^2 <= n divides it."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 class TestContext:
     def test_composite_prime_is_a_typed_error(self):
         with pytest.raises(NotPrime) as exc:
             PadicContext(4)
         assert exc.value.code == "not-prime"
+
+    def test_prime_at_the_bound_is_too_large(self):
+        assert PSI_13 == 3317044064679887385961981
+        with pytest.raises(TooLarge) as exc:
+            PadicContext(PSI_13)
+        assert exc.value.code == "too-large"
+
+    def test_large_prime_accepted(self):
+        assert PadicContext(1000000000000000003).p == 1000000000000000003
+
+
+class TestIsPrime:
+    @settings(max_examples=300)
+    @given(st.one_of(st.integers(-10, 10 ** 6),
+                     st.integers((1 << 20) - 3000, (1 << 20) + 3000)))
+    def test_agrees_with_trial_division(self, n):
+        assert is_prime(n) == trial_division(n)
+
+    def test_every_n_up_to_3000(self):
+        assert [n for n in range(3000) if is_prime(n)] == \
+            [n for n in range(3000) if trial_division(n)]
+
+    @pytest.mark.parametrize("n", [561, 41041, 825265])
+    def test_carmichael_numbers_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [
+        3215031751,                    # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,           # to the first 9 prime bases
+        318665857834031151167461,      # psi_12: to the first 12 prime bases
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [1048573, 1048583, 1000000000039,
+                                   1000000000000000003, (1 << 61) - 1])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_unproven_range_raises(self):
+        assert not is_prime(PSI_13 - 1)  # even
+        for n in (PSI_13, PSI_13 + 2, 1 << 89):
+            with pytest.raises(TooLarge):
+                is_prime(n)
 
 
 class TestArithmetic:

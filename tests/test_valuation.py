@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicspec import polys
 from adicspec.errors import (
@@ -221,6 +224,36 @@ class TestRetract:
             for v in (P5_Z, TRIV0_Z, TRIV5_Z):
                 r = retract(v, I)
                 assert equivalent(retract(r, I), r)
+
+
+_small_primes = st.sampled_from((2, 3, 5, 7, 11))
+
+
+@st.composite
+def _valuation_and_ideal(draw):
+    """A valuation on Z or Q (p-adic or trivial) and an ideal whose
+    generators are products of small primes, or 0."""
+    ring = draw(st.sampled_from((RING_Z, RING_Q)))
+    q = draw(_small_primes)
+    supports = [PrimeIdealDescriptor.zero()]
+    if ring is RING_Z:
+        supports.append(PrimeIdealDescriptor.prime(q))
+    v = draw(st.one_of(st.just(padic_valuation(ring, q)),
+                       st.sampled_from(supports).map(
+                           lambda P: trivial_valuation(ring, P))))
+    gens = draw(st.lists(st.one_of(
+        st.just(0), st.lists(_small_primes, min_size=1, max_size=3).map(prod)),
+        min_size=1, max_size=2))
+    return v, parse_ideal("(" + ",".join(map(str, gens)) + ")", ring)
+
+
+class TestRetractProperty:
+    @settings(max_examples=50)
+    @given(_valuation_and_ideal())
+    def test_idempotent(self, v_and_I):
+        v, I = v_and_I
+        r = retract(v, I)
+        assert equivalent(retract(r, I), r)
 
 
 class TestContinuity:
