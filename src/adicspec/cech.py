@@ -264,28 +264,24 @@ def _compose_is_zero(d_next, d_prev) -> bool:
     return True
 
 
-def _build(P: FinitePresheaf, qmax: int, alternating: bool) -> CechComplex:
+def _build(P: FinitePresheaf, alternating: bool) -> CechComplex:
     spaces = []
     diffs = []
-    for q in range(qmax + 1):
+    for q in range(max(P.n - 1, 0) + 1):
         matrix, src_dim, dst_dim = _differential(P, q, alternating)
         spaces.append(src_dim)
         diffs.append(tuple([tuple(row) for row in matrix]))
     return CechComplex(tuple(spaces), dst_dim, tuple(diffs))
 
 
-def build_complex(P: FinitePresheaf, qmax: int | None = None) -> CechComplex:
-    """Full cochain complex over all index tuples, degrees 0..qmax."""
-    if qmax is None:
-        qmax = max(P.n - 1, 0)
-    return _build(P, qmax, alternating=False)
+def build_complex(P: FinitePresheaf) -> CechComplex:
+    """Full cochain complex over all index tuples, degrees 0..max(n-1, 0)."""
+    return _build(P, alternating=False)
 
 
-def alternating_subcomplex(P: FinitePresheaf, qmax: int | None = None) -> CechComplex:
+def alternating_subcomplex(P: FinitePresheaf) -> CechComplex:
     """Subcomplex on strictly increasing index tuples."""
-    if qmax is None:
-        qmax = max(P.n - 1, 0)
-    return _build(P, qmax, alternating=True)
+    return _build(P, alternating=True)
 
 
 def cohomology(C: CechComplex):

@@ -16,6 +16,9 @@ Comparisons in the radius groups fold g to r for the real part and break
 ties on the g-exponent (larger exponent is smaller in RadiusBelow, larger
 in RadiusAbove); this is the unique total order compatible with the
 defining inequalities and is the normal form used everywhere.
+
+A :class:`ConvexSubgroup` is named by its index in the chain of convex
+subgroups, from the trivial subgroup (0) up to the full group (the height).
 """
 
 from __future__ import annotations
@@ -208,135 +211,6 @@ def group_lt(a: GroupElement, b: GroupElement) -> bool:
     return group_cmp(a, b) < 0
 
 
-class SubgroupKind(Enum):
-    TRIVIAL_SUB = "trivial-sub"
-    FULL = "full"
-    LEX_TAIL = "lex-tail"
-    RADIUS_REAL = "radius-real"
-
-
-@dataclass(frozen=True)
-class ConvexSubgroup:
-    """Convex subgroup in canonical closed form.
-
-    For lex groups every member of the chain is a LEX_TAIL(r) with
-    r in {1, ..., n+1}; r = n+1 is the trivial subgroup and r = 1 the full
-    group.  For the other kinds the canonical forms are TRIVIAL_SUB,
-    RADIUS_REAL and FULL.
-
-    RADIUS_REAL is the height-1 convex subgroup of a radius group: the
-    elements q*g^k whose folded real part q*r^k equals 1, an infinite
-    cyclic group generated by g/r.  (The real elements {(q, 0)} are not
-    convex under the real-part-first order; they embed instead as the
-    quotient by RADIUS_REAL.)
-    """
-
-    group: Group
-    kind: SubgroupKind
-    r: int = 0
-
-
-def trivial_subgroup(G: Group) -> ConvexSubgroup:
-    if G.kind is GroupKind.LEX_RATIONAL:
-        return ConvexSubgroup(G, SubgroupKind.LEX_TAIL, r=G.n + 1)
-    return ConvexSubgroup(G, SubgroupKind.TRIVIAL_SUB)
-
-
-def full_subgroup(G: Group) -> ConvexSubgroup:
-    if G.kind is GroupKind.LEX_RATIONAL:
-        return ConvexSubgroup(G, SubgroupKind.LEX_TAIL, r=1)
-    if G.kind is GroupKind.TRIVIAL:
-        return ConvexSubgroup(G, SubgroupKind.TRIVIAL_SUB)
-    return ConvexSubgroup(G, SubgroupKind.FULL)
-
-
-def lex_tail(G: Group, r: int) -> ConvexSubgroup:
-    if G.kind is not GroupKind.LEX_RATIONAL or not (1 <= r <= G.n + 1):
-        raise NotConvexSubgroupOfValueGroup(f"LexTail({r}) of {G}")
-    return ConvexSubgroup(G, SubgroupKind.LEX_TAIL, r=r)
-
-
-def radius_real_subgroup(G: Group) -> ConvexSubgroup:
-    if G.kind not in (GroupKind.RADIUS_BELOW, GroupKind.RADIUS_ABOVE):
-        raise NotConvexSubgroupOfValueGroup(f"RadiusReal of {G}")
-    return ConvexSubgroup(G, SubgroupKind.RADIUS_REAL)
-
-
-def is_trivial_subgroup(H: ConvexSubgroup) -> bool:
-    if H.kind is SubgroupKind.TRIVIAL_SUB:
-        return True
-    return H.kind is SubgroupKind.LEX_TAIL and H.r == H.group.n + 1
-
-
-def is_full_subgroup(H: ConvexSubgroup) -> bool:
-    if H.kind is SubgroupKind.FULL:
-        return True
-    if H.kind is SubgroupKind.LEX_TAIL and H.r == 1:
-        return True
-    return H.group.kind is GroupKind.TRIVIAL and H.kind is SubgroupKind.TRIVIAL_SUB
-
-
-def list_convex_subgroups(G: Group):
-    """The full chain of convex subgroups, ordered by inclusion."""
-    k = G.kind
-    if k is GroupKind.TRIVIAL:
-        return [trivial_subgroup(G)]
-    if k is GroupKind.LEX_RATIONAL:
-        return [lex_tail(G, r) for r in range(G.n + 1, 0, -1)]
-    if k is GroupKind.POS_RATIONAL:
-        return [trivial_subgroup(G), full_subgroup(G)]
-    return [trivial_subgroup(G), radius_real_subgroup(G), full_subgroup(G)]
-
-
-def subgroup_chain_index(H: ConvexSubgroup) -> int:
-    """Position of H in the inclusion chain of its group (0 = trivial)."""
-    chain = list_convex_subgroups(H.group)
-    try:
-        return chain.index(H)
-    except ValueError:
-        raise NotConvexSubgroupOfValueGroup(str(H))
-
-
-def subgroup_contains_subgroup(H1: ConvexSubgroup, H2: ConvexSubgroup) -> bool:
-    if H1.group != H2.group:
-        raise MismatchedGroups(f"{H1.group} vs {H2.group}")
-    return subgroup_chain_index(H1) >= subgroup_chain_index(H2)
-
-
-def subgroup_contains(H: ConvexSubgroup, g: GroupElement) -> bool:
-    if H.group != g.group:
-        raise MismatchedGroups(f"{H.group} vs {g.group}")
-    if is_full_subgroup(H):
-        return True
-    if is_trivial_subgroup(H):
-        return is_unit(g)
-    if H.kind is SubgroupKind.LEX_TAIL:
-        return all(e == 0 for e in g.payload[: H.r - 1])
-    # RADIUS_REAL: folded real part equal to 1
-    q, k = g.payload
-    return q * H.group.r ** k == 1
-
-
-def convex_subgroup_generated(g: GroupElement) -> ConvexSubgroup:
-    """Smallest convex subgroup containing g, in closed form."""
-    G = g.group
-    if is_unit(g):
-        return trivial_subgroup(G)
-    k = G.kind
-    if k is GroupKind.LEX_RATIONAL:
-        j = next(i for i, e in enumerate(g.payload) if e != 0)
-        return lex_tail(G, j + 1)
-    if k is GroupKind.POS_RATIONAL:
-        return full_subgroup(G)
-    # radius groups: an element with folded real part != 1 sandwiches, via
-    # its powers, every other element of the group; real part 1 generates
-    # the infinitesimal cyclic subgroup.
-    q, e = g.payload
-    if q * G.r ** e != 1:
-        return full_subgroup(G)
-    return radius_real_subgroup(G)
-
-
 def height(G: Group) -> int:
     """Number of proper nontrivial convex subgroup steps in the chain."""
     k = G.kind
@@ -349,45 +223,114 @@ def height(G: Group) -> int:
     return 2
 
 
+@dataclass(frozen=True)
+class ConvexSubgroup:
+    """Convex subgroup, named by its place in the chain of its group.
+
+    The convex subgroups of G form a chain 1 = H_0 < H_1 < ... < H_h = G
+    with h = height(G); ``index`` i names H_i, and H_i has height i.  In
+    LexRational(n), H_i is the tail of the last i coordinates (printed
+    ``tail(n+1-i)``).  In a radius group, H_1 is the infinitesimal
+    subgroup: the elements q*g^k whose folded real part q*r^k equals 1, an
+    infinite cyclic group generated by g/r.  (The real elements {(q, 0)}
+    are not convex under the real-part-first order; they embed instead as
+    the quotient by H_1.)
+    """
+
+    group: Group
+    index: int
+
+    def __post_init__(self):
+        if not 0 <= self.index <= height(self.group):
+            raise NotConvexSubgroupOfValueGroup(
+                f"index {self.index} in the chain of {self.group}")
+
+
+def trivial_subgroup(G: Group) -> ConvexSubgroup:
+    return ConvexSubgroup(G, 0)
+
+
+def full_subgroup(G: Group) -> ConvexSubgroup:
+    return ConvexSubgroup(G, height(G))
+
+
+def lex_tail(G: Group, r: int) -> ConvexSubgroup:
+    if G.kind is not GroupKind.LEX_RATIONAL or not (1 <= r <= G.n + 1):
+        raise NotConvexSubgroupOfValueGroup(f"LexTail({r}) of {G}")
+    return ConvexSubgroup(G, G.n + 1 - r)
+
+
+def radius_real_subgroup(G: Group) -> ConvexSubgroup:
+    if G.kind not in (GroupKind.RADIUS_BELOW, GroupKind.RADIUS_ABOVE):
+        raise NotConvexSubgroupOfValueGroup(f"RadiusReal of {G}")
+    return ConvexSubgroup(G, 1)
+
+
+def is_trivial_subgroup(H: ConvexSubgroup) -> bool:
+    return H.index == 0
+
+
+def is_full_subgroup(H: ConvexSubgroup) -> bool:
+    return H.index == height(H.group)
+
+
+def list_convex_subgroups(G: Group):
+    """The full chain of convex subgroups, ordered by inclusion."""
+    return [ConvexSubgroup(G, i) for i in range(height(G) + 1)]
+
+
+def subgroup_contains_subgroup(H1: ConvexSubgroup, H2: ConvexSubgroup) -> bool:
+    if H1.group != H2.group:
+        raise MismatchedGroups(f"{H1.group} vs {H2.group}")
+    return H1.index >= H2.index
+
+
+def subgroup_contains(H: ConvexSubgroup, g: GroupElement) -> bool:
+    if H.group != g.group:
+        raise MismatchedGroups(f"{H.group} vs {g.group}")
+    if is_full_subgroup(H):
+        return True
+    if is_trivial_subgroup(H):
+        return is_unit(g)
+    if H.group.kind is GroupKind.LEX_RATIONAL:
+        return all(e == 0 for e in g.payload[: H.group.n - H.index])
+    # the infinitesimal subgroup: folded real part equal to 1
+    q, k = g.payload
+    return q * H.group.r ** k == 1
+
+
+def convex_subgroup_generated(g: GroupElement) -> ConvexSubgroup:
+    """Smallest convex subgroup containing g, in closed form."""
+    G = g.group
+    if is_unit(g):
+        return trivial_subgroup(G)
+    k = G.kind
+    if k is GroupKind.LEX_RATIONAL:
+        j = next(i for i, e in enumerate(g.payload) if e != 0)
+        return ConvexSubgroup(G, G.n - j)
+    if k is GroupKind.POS_RATIONAL:
+        return full_subgroup(G)
+    # radius groups: an element with folded real part != 1 sandwiches, via
+    # its powers, every other element of the group; real part 1 generates
+    # the infinitesimal cyclic subgroup.
+    q, e = g.payload
+    if q * G.r ** e != 1:
+        return full_subgroup(G)
+    return ConvexSubgroup(G, 1)
+
+
 def subgroup_height(H: ConvexSubgroup) -> int:
     """Height of H viewed as a totally ordered group in its own right."""
-    if is_trivial_subgroup(H):
-        return 0
-    if is_full_subgroup(H):
-        return height(H.group)
-    if H.kind is SubgroupKind.LEX_TAIL:
-        return H.group.n - H.r + 1
-    return 1  # RADIUS_REAL is archimedean
+    return H.index
 
 
 def subgroup_as_group(H: ConvexSubgroup) -> Group:
-    """H as a standalone group descriptor."""
+    """H as a standalone group; a proper nontrivial H is a lex tail or cyclic."""
     if is_trivial_subgroup(H):
         return trivial_group()
     if is_full_subgroup(H):
         return H.group
-    if H.kind is SubgroupKind.LEX_TAIL:
-        return lex_group(H.group.n - H.r + 1)
-    return lex_group(1)  # RADIUS_REAL is infinite cyclic
-
-
-def element_into_subgroup(g: GroupElement, H: ConvexSubgroup) -> GroupElement:
-    """Rewrite a member of H as an element of subgroup_as_group(H)."""
-    if not subgroup_contains(H, g):
-        raise NotConvexSubgroupOfValueGroup(f"{g} not in {H}")
-    target = subgroup_as_group(H)
-    if target.kind is GroupKind.TRIVIAL:
-        return unit(target)
-    if is_full_subgroup(H):
-        return g
-    if H.kind is SubgroupKind.LEX_TAIL:
-        return GroupElement(target, g.payload[H.r - 1:])
-    # RADIUS_REAL: generator g/r is < 1 in RadiusBelow and > 1 in
-    # RadiusAbove; pick the exponent sign preserving the order.
-    k = g.payload[1]
-    if H.group.kind is GroupKind.RADIUS_BELOW:
-        return GroupElement(target, (Fraction(-k),))
-    return GroupElement(target, (Fraction(k),))
+    return lex_group(H.index)
 
 
 def quotient_by_convex(G: Group, H: ConvexSubgroup):
@@ -403,9 +346,10 @@ def quotient_by_convex(G: Group, H: ConvexSubgroup):
     if is_full_subgroup(H):
         T = trivial_group()
         return T, lambda g: unit(T)
-    if H.kind is SubgroupKind.LEX_TAIL:
-        Q = lex_group(H.r - 1)
-        return Q, lambda g: GroupElement(Q, g.payload[: H.r - 1])
+    if G.kind is GroupKind.LEX_RATIONAL:
+        m = G.n - H.index
+        Q = lex_group(m)
+        return Q, lambda g: GroupElement(Q, g.payload[:m])
     # radius group mod its infinitesimal subgroup: the folded real part
     # q*r^k is constant on each class and gives the quotient order.
     Q = pos_rational_group()
@@ -472,6 +416,6 @@ def render_subgroup(H: ConvexSubgroup) -> str:
         return "1"
     if is_full_subgroup(H):
         return "full"
-    if H.kind is SubgroupKind.LEX_TAIL:
-        return f"tail({H.r})"
+    if H.group.kind is GroupKind.LEX_RATIONAL:
+        return f"tail({H.group.n + 1 - H.index})"
     return "real"

@@ -19,6 +19,10 @@ from .errors import ParseError, TooLarge, ZeroValue
 
 # largest degree, and exponent, the text parser builds: storage is dense
 MAX_DEGREE = 10000
+# largest (degree + 1) * coefficient bits, estimated, of a power or product
+# the parser expands: at this cap the slowest shape measured, the square of
+# a dense 11-term polynomial's 120th power, takes about 1 s (Python 3.11)
+MAX_EXPANSION_BITS = 2_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,10 +258,24 @@ def padic_abs(x, p: int) -> Fraction:
 
 # --- text form -----------------------------------------------------------
 
+def _bits(f: Poly, terms: int = 1) -> int:
+    """ceil(log2) of a bound on any sum of `terms` coefficients of f."""
+    c = f.content
+    top = max(map(abs, f.coeffs), default=1) * abs(c.numerator) * c.denominator
+    return (terms * top - 1).bit_length()
+
+
+def _check_size(deg: int, bits: int, what: str):
+    """Refuse, before it is built, an expansion too large to build."""
+    if deg > MAX_DEGREE or (deg + 1) * bits > MAX_EXPANSION_BITS:
+        raise TooLarge(f"{what} of degree {deg} with {bits}-bit coefficients "
+                       f"exceeds degree {MAX_DEGREE} or {MAX_EXPANSION_BITS} bits")
+
+
 class _Parser:
     """Recursive-descent parser for + - * ^ with parentheses, rational
     literals and the variable T.  Degrees and exponents above MAX_DEGREE
-    are refused before anything is expanded."""
+    and sizes above MAX_EXPANSION_BITS are refused before expanding."""
 
     def __init__(self, text: str):
         self.text, self.pos = text, 0
@@ -289,9 +307,10 @@ class _Parser:
         node = self.factor()
         while self.take("*"):
             rhs = self.factor()
-            if degree(node) + degree(rhs) > MAX_DEGREE:
-                raise TooLarge(f"product of degree {degree(node)} and "
-                               f"{degree(rhs)} exceeds {MAX_DEGREE}")
+            # a coefficient of the product sums at most min(terms) products
+            terms = min(len(node), len(rhs))
+            _check_size(degree(node) + degree(rhs),
+                        _bits(node, terms) + _bits(rhs), "product")
             node = poly_mul(node, rhs)
         return node
 
@@ -301,9 +320,11 @@ class _Parser:
             exp = self.integer()
             if exp < 0:
                 self.error("negative exponent")
-            if exp > MAX_DEGREE or degree(node) * exp > MAX_DEGREE:
-                raise TooLarge(f"power {exp} of a degree-{degree(node)} "
-                               f"polynomial exceeds {MAX_DEGREE}")
+            if exp > MAX_DEGREE:
+                raise TooLarge(f"exponent {exp} exceeds {MAX_DEGREE}")
+            # the coefficients of f^n are at most l1(f)^n <= (terms * max)^n
+            _check_size(degree(node) * exp,
+                        exp * _bits(node, len(node)), f"power {exp}")
             node = poly_pow(node, exp)
         return node
 
@@ -332,7 +353,10 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
-        return sign * int(self.text[start:self.pos])
+        try:
+            return sign * int(self.text[start:self.pos])
+        except ValueError:  # above sys.get_int_max_str_digits() digits
+            raise TooLarge(f"integer literal of {self.pos - start} digits")
 
 
 def parse_poly(text: str) -> Poly:

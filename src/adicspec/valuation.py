@@ -4,9 +4,9 @@ Supported rings: Z, Q, F_p, Q[T], Q(T).  Ring elements are int, Fraction,
 int mod p, :class:`polys.Poly`, or a reduced pair of Polys with monic
 denominator; Q[T] ideal generators are Polys too.
 
-Valuation kinds form a closed tagged union so that support, equivalence,
-specialization and the horizontal/vertical calculus all have exact
-closed-form branches.
+Four valuation kinds (trivial with a support, |.|_p, degree, disc point) form
+a closed tagged union so that support, equivalence, specialization and the
+horizontal/vertical calculus all have exact closed-form branches.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from .ordgroup import (
     is_trivial_subgroup,
     pos_element,
     pos_rational_group,
-    quotient_by_convex,
-    subgroup_as_group,
-    subgroup_contains,
     subgroup_contains_subgroup,
     trivial_group,
     trivial_subgroup,
@@ -190,7 +187,6 @@ class ValuationKind(Enum):
     TRIVIAL = "trivial"
     PADIC = "padic"
     DEGREE = "deg"
-    PADIC_COMPOSITE = "padic-composite"
     PADIC_POLY = "padic-poly"
 
 
@@ -201,8 +197,7 @@ class Valuation:
     p: int = 0
     rho: Fraction = Fraction(1, 2)
     supp: PrimeIdealDescriptor | None = None
-    H: ConvexSubgroup | None = None  # PADIC_COMPOSITE restriction subgroup
-    point: object = None             # PADIC_POLY disc point
+    point: object = None  # PADIC_POLY disc point
 
 
 def trivial_valuation(ring: BaseRing, supp: PrimeIdealDescriptor) -> Valuation:
@@ -237,8 +232,6 @@ def value_group(v: Valuation) -> Group:
         return trivial_group()
     if k in (ValuationKind.PADIC, ValuationKind.DEGREE):
         return pos_rational_group()
-    if k is ValuationKind.PADIC_COMPOSITE:
-        return subgroup_as_group(v.H)
     from . import disc
     return disc.value_group_of(v.point)
 
@@ -259,14 +252,6 @@ def eval_valuation(v: Valuation, a) -> Value:
         if not num:
             return ZERO
         return nonzero(pos_element(v.rho ** (polys.degree(den) - polys.degree(num))))
-    if k is ValuationKind.PADIC_COMPOSITE:
-        if a == 0:
-            return ZERO
-        base = pos_element(v.rho ** polys.padic_exponent(Fraction(a), v.p))
-        if subgroup_contains(v.H, base):
-            from .ordgroup import element_into_subgroup
-            return nonzero(element_into_subgroup(base, v.H))
-        return ZERO
     from . import disc
     return disc.eval_at(v.point, TateSeries(v.point.ctx, a))
 
@@ -277,25 +262,11 @@ def support(v: Valuation) -> PrimeIdealDescriptor:
         return v.supp
     if k in (ValuationKind.PADIC, ValuationKind.DEGREE):
         return PrimeIdealDescriptor.zero()
-    if k is ValuationKind.PADIC_COMPOSITE:
-        if is_trivial_subgroup(v.H):
-            return PrimeIdealDescriptor.prime(v.p)
-        return PrimeIdealDescriptor.zero()
     from . import disc
     if v.point.kind is disc.PointKind.CLASSICAL:
         gen = polys.poly_sub(polys.poly_x(), polys.poly_const(v.point.center))
         return PrimeIdealDescriptor.poly(gen)
     return PrimeIdealDescriptor.zero()
-
-
-def normalized(v: Valuation) -> Valuation:
-    """Collapse composite kinds onto their closed forms where possible."""
-    if v.kind is ValuationKind.PADIC_COMPOSITE:
-        if is_full_subgroup(v.H):
-            return padic_valuation(v.ring, v.p, v.rho)
-        if is_trivial_subgroup(v.H):
-            return trivial_valuation(v.ring, PrimeIdealDescriptor.prime(v.p))
-    return v
 
 
 def default_probes(ring: BaseRing):
@@ -322,7 +293,6 @@ def equivalent(v: Valuation, w: Valuation) -> bool:
     """
     if v.ring != w.ring:
         raise WrongRing(f"{v.ring} vs {w.ring}")
-    v, w = normalized(v), normalized(w)
     if v.kind != w.kind:
         result = False
     elif v.kind is ValuationKind.TRIVIAL:
@@ -331,8 +301,6 @@ def equivalent(v: Valuation, w: Valuation) -> bool:
         result = v.p == w.p  # rho is irrelevant to the equivalence class
     elif v.kind is ValuationKind.DEGREE:
         result = True
-    elif v.kind is ValuationKind.PADIC_COMPOSITE:
-        result = v.p == w.p and v.H == w.H
     else:
         from . import disc
         result = disc.point_eq(v.point, w.point)
@@ -346,20 +314,12 @@ def equivalent(v: Valuation, w: Valuation) -> bool:
 
 
 def characteristic_group(v: Valuation) -> ConvexSubgroup:
-    """Convex subgroup generated by the image values >= 1."""
+    """Convex subgroup generated by the image values >= 1: trivial for |.|_p
+    on Z, where |n|_p <= 1, and full otherwise (the trivial group, the fields
+    Q and Q(T), and the constants p^-m of Q[T] at disc points)."""
     G = value_group(v)
-    k = v.kind
-    if k is ValuationKind.TRIVIAL:
+    if v.kind is ValuationKind.PADIC and v.ring.kind is RingKind.INTEGERS_Z:
         return trivial_subgroup(G)
-    if k is ValuationKind.PADIC:
-        if v.ring.kind is RingKind.INTEGERS_Z:
-            return trivial_subgroup(G)  # |n|_p <= 1 on Z
-        return full_subgroup(G)         # field case
-    if k is ValuationKind.DEGREE:
-        return full_subgroup(G)
-    if k is ValuationKind.PADIC_COMPOSITE:
-        return trivial_subgroup(G)
-    # disc points: constants p^-m alone give values > 1 in Q[T]
     return full_subgroup(G)
 
 
@@ -372,13 +332,10 @@ def vertical_quotient(v: Valuation, H: ConvexSubgroup) -> Valuation:
         return v
     if is_full_subgroup(H):
         return trivial_valuation(v.ring, support(v))
-    if v.kind is ValuationKind.PADIC_POLY:
-        from . import disc
-        from .ordgroup import SubgroupKind
-        if H.kind is SubgroupKind.RADIUS_REAL:
-            # quotient by the infinitesimal subgroup is the ball point
-            return disc_point_valuation(disc.height1_generization(v.point))
-    raise UnsupportedKind(f"no closed form for {v.kind} / {H.kind}")
+    # only a type-5 disc point's radius group has a third convex subgroup,
+    # the infinitesimal one, and the quotient by it is the ball point
+    from . import disc
+    return disc_point_valuation(disc.height1_generization(v.point))
 
 
 def horizontal_restrict(v: Valuation, H: ConvexSubgroup) -> Valuation:
@@ -395,15 +352,10 @@ def horizontal_restrict(v: Valuation, H: ConvexSubgroup) -> Valuation:
             "restriction subgroup must contain the characteristic group")
     if is_full_subgroup(H):
         return v
-    if v.kind is ValuationKind.TRIVIAL:
-        return v
-    if v.kind is ValuationKind.PADIC:
-        return normalized(Valuation(v.ring, ValuationKind.PADIC_COMPOSITE,
-                                    p=v.p, rho=v.rho, H=H))
-    if v.kind is ValuationKind.PADIC_COMPOSITE:
-        return normalized(Valuation(v.ring, ValuationKind.PADIC_COMPOSITE,
-                                    p=v.p, rho=v.rho, H=H))
-    raise UnsupportedKind(f"no closed form for {v.kind}|_{H.kind}")
+    # H contains the characteristic group, which is full for every kind
+    # but |.|_p on Z (characteristic_group), so only |.|_p on Z gets here,
+    # with the trivial subgroup, Q_{>0} having no third convex subgroup.
+    return trivial_valuation(v.ring, PrimeIdealDescriptor.prime(v.p))
 
 
 def c_gamma_I(v: Valuation, I: IdealOfDefinition) -> ConvexSubgroup:
@@ -453,7 +405,7 @@ def in_subbasic(v: Valuation, f, s) -> bool:
     return value_le(eval_valuation(v, f), vs)
 
 
-def specializes(v: Valuation, w: Valuation, probes=None) -> bool:
+def specializes(v: Valuation, w: Valuation) -> bool:
     """Semi-decision of "v lies in the closure of w".
 
     Exact closed forms cover the curated models (Spv Z, Spv Q, disc
@@ -464,17 +416,14 @@ def specializes(v: Valuation, w: Valuation, probes=None) -> bool:
         raise WrongRing(f"{v.ring} vs {w.ring}")
     if equivalent(v, w):
         return True
-    nv, nw = normalized(v), normalized(w)
     if v.ring.kind in (RingKind.INTEGERS_Z, RingKind.RATIONALS_Q):
-        return _spv_z_specializes(nv, nw)
-    if nv.kind is ValuationKind.PADIC_POLY and nw.kind is ValuationKind.PADIC_POLY:
+        return _spv_z_specializes(v, w)
+    if v.kind is ValuationKind.PADIC_POLY and w.kind is ValuationKind.PADIC_POLY:
         from . import disc
-        return disc.disc_specializes(nv.point, nw.point)
-    if probes is None:
-        probes = [(f, s) for f in default_probes(v.ring)
-                  for s in default_probes(v.ring)]
+        return disc.disc_specializes(v.point, w.point)
+    probes = default_probes(v.ring)
     return all(in_subbasic(w, f, s)
-               for f, s in probes if in_subbasic(v, f, s))
+               for f in probes for s in probes if in_subbasic(v, f, s))
 
 
 def _spv_z_specializes(v: Valuation, w: Valuation) -> bool:
@@ -513,7 +462,6 @@ def parse_valuation(text: str, ring: BaseRing) -> Valuation:
 
 
 def render_valuation(v: Valuation) -> str:
-    v = normalized(v)
     if v.kind is ValuationKind.PADIC:
         return f"padic:{v.p}"
     if v.kind is ValuationKind.TRIVIAL:
@@ -524,10 +472,8 @@ def render_valuation(v: Valuation) -> str:
         return "trivial:poly"
     if v.kind is ValuationKind.DEGREE:
         return f"deg:{v.rho}"
-    if v.kind is ValuationKind.PADIC_POLY:
-        from . import disc
-        return f"point:{disc.render_point(v.point)}"
-    return f"padic:{v.p}|H"
+    from . import disc
+    return f"point:{disc.render_point(v.point)}"
 
 
 def parse_ideal(text: str, ring: BaseRing) -> IdealOfDefinition:

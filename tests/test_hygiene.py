@@ -68,3 +68,35 @@ def test_the_rules_catch_each_kind(tmp_path):
     found = _findings(bad)
     assert [f.split(": ", 1)[1] for f in found] == [
         "assert in f", "float() call", "float literal 0.5", "raise ValueError"]
+
+
+def _unused_imports(path: Path):
+    """Names an import binds in the module that no expression there reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.stem}.py:{line}: {name} imported, never used"
+            for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_import_scan_catches_a_planted_case(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from __future__ import annotations\n"
+                   "import os.path\n"
+                   "from math import gcd, lcm as least\n"
+                   "def f(x):\n"
+                   "    return gcd(x, 2)\n")
+    assert _unused_imports(bad) == ["bad.py:2: os imported, never used",
+                                    "bad.py:3: least imported, never used"]

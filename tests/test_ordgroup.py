@@ -11,10 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adicspec.errors import MalformedElement, MismatchedGroups, ParseError
+from adicspec.errors import (
+    MalformedElement,
+    MismatchedGroups,
+    NotConvexSubgroupOfValueGroup,
+    ParseError,
+)
 from adicspec.ordgroup import (
+    ConvexSubgroup,
     GroupElement,
-    SubgroupKind,
     convex_subgroup_generated,
     full_subgroup,
     group_cmp,
@@ -42,6 +47,7 @@ from adicspec.ordgroup import (
     render_element,
     subgroup_as_group,
     subgroup_contains,
+    subgroup_contains_subgroup,
     subgroup_height,
     trivial_group,
     trivial_subgroup,
@@ -267,7 +273,7 @@ class TestConvexSubgroups:
         assert is_full_subgroup(convex_subgroup_generated(radius_element(G, 1, 1)))
         # real part exactly 1: generates the infinitesimal cyclic subgroup
         H = convex_subgroup_generated(radius_element(G, 2, 1))
-        assert H.kind is SubgroupKind.RADIUS_REAL
+        assert H == radius_real_subgroup(G)
 
     def test_chain_lengths(self):
         assert len(list_convex_subgroups(trivial_group())) == 1
@@ -287,6 +293,32 @@ class TestConvexSubgroups:
                 if any(group_le(h, g) and group_le(g, h2)
                        for h in members for h2 in members):
                     assert subgroup_contains(H, g)
+
+    @pytest.mark.parametrize("G", ALL_GROUPS)
+    def test_index_outside_the_chain(self, G):
+        for index in (-1, height(G) + 1):
+            with pytest.raises(NotConvexSubgroupOfValueGroup):
+                ConvexSubgroup(G, index)
+
+    @pytest.mark.parametrize("G", ALL_GROUPS)
+    def test_index_order_is_inclusion(self, G):
+        """On sampled elements plus one element of each step of the chain,
+        H_i lies in H_j exactly when i <= j."""
+        elts = sample_elements(G, random.Random(37), 30)
+        if G.kind.name == "LEX_RATIONAL":
+            elts += [lex_element(G, [int(i == j) for i in range(G.n)])
+                     for j in range(G.n)]
+        elif G.kind.name == "POS_RATIONAL":
+            elts.append(pos_element(2))
+        elif G.kind.name != "TRIVIAL":
+            elts += [radius_element(G, 1 / G.r, 1), radius_element(G, 2, 0)]
+        chain = list_convex_subgroups(G)
+        members = [frozenset(i for i, e in enumerate(elts)
+                             if subgroup_contains(H, e)) for H in chain]
+        for H, mh in zip(chain, members):
+            for K, mk in zip(chain, members):
+                assert (H.index <= K.index) == (mh <= mk)
+                assert subgroup_contains_subgroup(K, H) == (mh <= mk)
 
     @pytest.mark.parametrize("G", ALL_GROUPS)
     def test_generated_is_minimal(self, G):

@@ -310,6 +310,25 @@ class TestTextForm:
             with pytest.raises(TooLarge):
                 parse_poly(text)
 
+    def test_size_cap(self):
+        assert polys.degree(parse_poly("(T+1)^400")) == 400
+        for text in ("(T+1)^5000", "(T+1)^2500*(T+1)^2500", "((T+1)^50)^100",
+                     "(99999999999^10000)^10000", "9" * 5000):
+            with pytest.raises(TooLarge):
+                parse_poly(text)
+
+    @_settings
+    @given(_small_dicts, _small_dicts, st.integers(0, 12))
+    def test_size_estimates_bound_the_height(self, d, e, n):
+        """The bits the parser estimates for f^n and f*g bound every
+        coefficient's numerator and denominator."""
+        f, g = poly(d), poly(e)
+        terms = min(len(f), len(g))
+        for h, bits in ((polys.poly_pow(f, n), n * polys._bits(f, len(f))),
+                        (polys.poly_mul(f, g), polys._bits(f, terms) + polys._bits(g))):
+            assert all(abs(c.numerator) * c.denominator <= 2 ** bits
+                       for _, c in h.items())
+
     @pytest.mark.parametrize("text,message", [
         # messages of the parser this one replaced, positions included
         ("T+", "unexpected token '' at position 2 in 'T+'"),

@@ -61,7 +61,14 @@ from adicspec.valuation import (
     value_group,
     vertical_quotient,
 )
-from adicspec.value import nonzero, value_cmp, value_le, value_max, value_mul
+from adicspec.value import (
+    nonzero,
+    value_cmp,
+    value_in_subgroup,
+    value_le,
+    value_max,
+    value_mul,
+)
 
 TRIV0_Z = trivial_valuation(RING_Z, PrimeIdealDescriptor.zero())
 TRIV5_Z = trivial_valuation(RING_Z, PrimeIdealDescriptor.prime(5))
@@ -185,6 +192,21 @@ class TestHorizontalRestrict:
     def test_field_case_rejected(self):
         with pytest.raises(CharacteristicGroupNotContained):
             horizontal_restrict(P5_Q, trivial_subgroup(pos_rational_group()))
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([p for p in range(2, 100)
+                            if all(p % d for d in range(2, p))]),
+           st.integers(-10 ** 6, 10 ** 6))
+    def test_restriction_to_trivial_follows_the_definition(self, p, n):
+        """v|_H(n) is v(n) when v(n) lies in H, and zero otherwise."""
+        v = padic_valuation(RING_Z, p)
+        H = trivial_subgroup(pos_rational_group())
+        value = eval_valuation(horizontal_restrict(v, H), n)
+        if value_in_subgroup(eval_valuation(v, n), H):
+            assert value == nonzero(unit(trivial_group()))
+        else:
+            assert value.is_zero()
+        assert value.is_zero() == (n % p == 0)
 
 
 class TestCGammaI:
