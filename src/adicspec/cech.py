@@ -7,6 +7,11 @@ the full cochain complex (all index tuples) and the alternating
 subcomplex (strictly increasing tuples) are built as integer matrices,
 every differential scaled by one common denominator of the restrictions,
 and cohomology dimensions are computed by fraction-free elimination.
+The matrices are dense int rows at every boundary, but mostly zero, so
+the work follows their nonzeros: a differential visits only the tuples
+and faces whose F(U) is nonzero and adds only the nonzero entries of each
+restriction, and the d o d = 0 check sums products of nonzero entries of
+both factors only.
 
 The module also carries the concrete Laurent-cover exactness check: for
 a nonzero polynomial f the two-set cover {|f| <= 1}, {|f| >= 1} has an
@@ -20,7 +25,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import lcm
 
 from .errors import (
@@ -58,12 +63,14 @@ class FinitePresheaf:
 
     @cached_property
     def integer_res(self):
-        """(D, res scaled by D as int rows), D the lcm of the denominators
-        of every one-step restriction (1 for integer restrictions)."""
+        """(D, {pair: res scaled by D as sparse (row, col, int) entries}),
+        D the lcm of the denominators of every one-step restriction (1 for
+        integer restrictions); zero entries are left out."""
         scale = lcm(*(x.denominator for m in self.res.values()
                       for row in m for x in row))
-        return scale, {key: [[x.numerator * (scale // x.denominator)
-                              for x in row] for row in m]
+        return scale, {key: [(r, c, x.numerator * (scale // x.denominator))
+                             for r, row in enumerate(m)
+                             for c, x in enumerate(row) if x]
                        for key, m in self.res.items()}
 
 
@@ -211,54 +218,55 @@ def _degree_tuples(n: int, q: int, alternating: bool):
     return list(product(range(n), repeat=q + 1))
 
 
-def _layout(P: FinitePresheaf, tuples):
-    offsets = {}
+def _layout(P: FinitePresheaf, tuples) -> tuple:
+    """({tuple: (offset, index set, dim F(U_tuple))}, total dimension) for
+    the tuples of one degree, laid out one block after another."""
+    cells = {}
     total = 0
     for t in tuples:
-        offsets[t] = total
-        total += P.dims[frozenset(t)]
-    return offsets, total
+        S = frozenset(t)
+        dim = P.dims[S]
+        cells[t] = (total, S, dim)
+        total += dim
+    return cells, total
 
 
 def _differential(P: FinitePresheaf, q: int, alternating: bool):
     """d^q times the common denominator D of the restrictions, as dense
     int rows.  A face sigma of tau spans the same index set (D times the
-    identity) or one index fewer (a one-step restriction)."""
-    src = _degree_tuples(P.n, q, alternating)
-    dst = _degree_tuples(P.n, q + 1, alternating)
-    src_off, src_dim = _layout(P, src)
-    dst_off, dst_dim = _layout(P, dst)
+    identity) or one index fewer (a one-step restriction); a tuple or face
+    whose F(U) is 0 has no entries and is skipped, and a restriction adds
+    only its nonzero entries."""
+    src, src_dim = _layout(P, _degree_tuples(P.n, q, alternating))
+    dst, dst_dim = _layout(P, _degree_tuples(P.n, q + 1, alternating))
     scale, res = P.integer_res
     matrix = [[0] * src_dim for _ in range(dst_dim)]
-    for tau in dst:
-        S_tau = frozenset(tau)
-        r0 = dst_off[tau]
+    for tau, (r0, S_tau, dim) in dst.items():
+        if not dim:
+            continue
         for j in range(len(tau)):
-            sigma = tau[:j] + tau[j + 1:]
-            S_sigma = frozenset(sigma)
+            c0, S_sigma, src_cell_dim = src[tau[:j] + tau[j + 1:]]
+            if not src_cell_dim:
+                continue
             sign = -1 if j % 2 else 1
-            c0 = src_off[sigma]
             if S_sigma == S_tau:
-                for r in range(P.dims[S_tau]):
+                for r in range(dim):
                     matrix[r0 + r][c0 + r] += sign * scale
                 continue
-            for r, R_row in enumerate(res[(S_sigma, S_tau)]):
-                row = matrix[r0 + r]
-                for c, x in enumerate(R_row):
-                    row[c0 + c] += sign * x
+            for r, c, x in res[(S_sigma, S_tau)]:
+                matrix[r0 + r][c0 + c] += sign * x
     return matrix, src_dim, dst_dim
 
 
 def _compose_is_zero(d_next, d_prev) -> bool:
-    """Whether d_next o d_prev = 0, each row of the product summed from
-    the nonzero entries of d_prev's rows."""
-    prev = [[(c, v) for c, v in enumerate(row) if v] for row in d_prev]
+    """Whether d_next o d_prev = 0, each row of the product summed over
+    the nonzero entries of both factors only."""
+    prev = [list(compress(enumerate(row), row)) for row in d_prev]
     for row in d_next:
         acc = {}
-        for w, prev_row in zip(row, prev):
-            if w:
-                for c, v in prev_row:
-                    acc[c] = acc.get(c, 0) + w * v
+        for w, prev_row in compress(zip(row, prev), row):
+            for c, v in prev_row:
+                acc[c] = acc.get(c, 0) + w * v
         if any(acc.values()):
             return False
     return True

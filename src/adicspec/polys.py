@@ -11,8 +11,10 @@ all hold this one type.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import ParseError, TooLarge, ZeroValue
@@ -120,6 +122,28 @@ def poly_add(f: Poly, g: Poly) -> Poly:
     return _normal(Fraction(num, den), out)
 
 
+def poly_sum(terms) -> Poly:
+    """The sum of the polynomials, with one normalisation at the end, and
+    each summand's nonzero coefficients found by one C-speed scan.  A
+    chain of poly_add would renormalise the growing sum once per term;
+    poly_add stays the faster form for two small summands, as in the
+    Laurent arithmetic."""
+    terms = [f for f in terms if f]
+    if len(terms) < 2:
+        return terms[0] if terms else ZERO
+    # over the common content gcd(numerators)/lcm(denominators) every
+    # summand has integer coefficients
+    num = gcd(*(f.content.numerator for f in terms))
+    den = lcm(*(f.content.denominator for f in terms))
+    out = [0] * max(len(f.coeffs) for f in terms)
+    for f in terms:
+        c, coeffs = f.content, f.coeffs
+        a = c.numerator // num * (den // c.denominator)
+        for i in compress(range(len(coeffs)), coeffs):
+            out[i] += a * coeffs[i]
+    return _normal(Fraction(num, den), out)
+
+
 def poly_neg(f: Poly) -> Poly:
     return Poly(-f.content, f.coeffs)
 
@@ -146,7 +170,10 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
 
 
 def poly_pow(f: Poly, n: int) -> Poly:
-    """f^n by repeated squaring of the primitive part."""
+    """f^n by repeated squaring of the primitive part; a monomial c*T^d,
+    whose primitive part is T^d, has the closed form c^n * T^(dn)."""
+    if f.coeffs.count(0) == len(f.coeffs) - 1:
+        return Poly(f.content ** n, (0,) * ((len(f.coeffs) - 1) * n) + (1,))
     result, base, k = (1,), f.coeffs, n
     while k:
         if k & 1:
@@ -297,11 +324,10 @@ class _Parser:
         return ""
 
     def expr(self) -> Poly:
-        node = poly_neg(self.term()) if self.take("-") else self.term()
+        terms = [poly_neg(self.term()) if self.take("-") else self.term()]
         while op := self.take("+-"):
-            rhs = self.term()
-            node = poly_add(node, rhs) if op == "+" else poly_sub(node, rhs)
-        return node
+            terms.append(self.term() if op == "+" else poly_neg(self.term()))
+        return poly_sum(terms)
 
     def term(self) -> Poly:
         node = self.factor()
@@ -368,19 +394,25 @@ def parse_poly(text: str) -> Poly:
 
 
 def render_poly(f: Poly) -> str:
-    """Canonical rendering: descending degree, exact fractions."""
+    """Canonical rendering: descending degree, exact fractions.  A
+    coefficient longer than sys.get_int_max_str_digits() digits raises
+    TooLarge."""
     if not f:
         return "0"
     parts = []
-    for d, c in reversed(f.items()):
-        mag = abs(c)
-        if d == 0:
-            body = str(mag)
-        else:
-            t = "T" if d == 1 else f"T^{d}"
-            body = t if mag == 1 else f"{mag}*{t}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    try:
+        for d, c in reversed(f.items()):
+            mag = abs(c)
+            if d == 0:
+                body = str(mag)
+            else:
+                t = "T" if d == 1 else f"T^{d}"
+                body = t if mag == 1 else f"{mag}*{t}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    except ValueError:  # above the int-to-text digit limit
+        raise TooLarge(f"coefficient of T^{d} has more than "
+                       f"{sys.get_int_max_str_digits()} digits to render")
     return " ".join(parts)

@@ -3,6 +3,8 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -42,7 +44,61 @@ from adicspec.linalg import identity
 from adicspec.tate import parse_series, series
 
 
+def dense_differential(P, q: int, alternating: bool):
+    """d^q entry by entry on dense rows, the common denominator D of the
+    restrictions computed afresh: the oracle for _differential."""
+    def tuples(k):
+        return (list(combinations(range(P.n), k + 1)) if alternating
+                else list(product(range(P.n), repeat=k + 1)))
+
+    def layout(ts):
+        offsets, total = {}, 0
+        for t in ts:
+            offsets[t] = total
+            total += P.dims[frozenset(t)]
+        return offsets, total
+
+    src, dst = tuples(q), tuples(q + 1)
+    src_off, src_dim = layout(src)
+    dst_off, dst_dim = layout(dst)
+    scale = lcm(*(x.denominator for m in P.res.values()
+                  for row in m for x in row))
+    matrix = [[0] * src_dim for _ in range(dst_dim)]
+    for tau in dst:
+        S_tau = frozenset(tau)
+        for j in range(len(tau)):
+            sigma = tau[:j] + tau[j + 1:]
+            S_sigma = frozenset(sigma)
+            sign = -1 if j % 2 else 1
+            r0, c0 = dst_off[tau], src_off[sigma]
+            if S_sigma == S_tau:
+                for r in range(P.dims[S_tau]):
+                    matrix[r0 + r][c0 + r] += sign * scale
+                continue
+            for r, row in enumerate(P.res[(S_sigma, S_tau)]):
+                for c, x in enumerate(row):
+                    matrix[r0 + r][c0 + c] += sign * int(x * scale)
+    return matrix, src_dim, dst_dim
+
+
 class TestBuildComplex:
+    # a universe of 1 or 2 points leaves many index sets with F(U) = 0;
+    # scaling every restriction by one rational keeps the squares
+    # commuting and makes the common denominator D > 1
+    @settings(max_examples=40)
+    @given(st.integers(1, 3), st.integers(1, 3), st.randoms(),
+           st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2),
+                            Fraction(3, 7)]))
+    def test_differential_matches_dense_oracle(self, n, universe, rng, c):
+        base = random_presheaf(rng, n, universe)
+        P = presheaf(n, base.dims,
+                     {key: [[c * x for x in row] for row in m]
+                      for key, m in base.res.items()})
+        for alternating in (False, True):
+            for q in range(n):
+                assert _differential(P, q, alternating) == \
+                    dense_differential(P, q, alternating)
+
     def test_trivial_cover(self):
         P = constant_presheaf(1, 1)
         C = build_complex(P)
@@ -125,6 +181,18 @@ class TestBuildComplex:
         with pytest.raises(NotAComplex):
             CechComplex((1, 1), 1, (((1,),), ((1,),)))
         assert CechComplex((1, 1), 1, (((1,),), ((0,),))).buffer_dim == 1
+
+    def test_hand_built_product_with_one_nonzero_entry_is_checked(self):
+        # d^0 is 3 x 3, d^1 is 2 x 3; d^1 o d^0 is zero except in its
+        # last row and column, where the nonzero terms of row 1 of d^1
+        # leave -1
+        d0 = ((1, 0, 0), (0, 0, 0), (1, 0, 1))
+        with pytest.raises(NotAComplex):
+            CechComplex((3, 3), 2, (d0, ((0, 0, 0), (1, 5, -1))))
+        # here the nonzero terms cancel: 1 * (1, 0, 0) - 1 * (1, 0, 0)
+        d0 = ((1, 0, 0), (0, 0, 0), (1, 0, 0))
+        assert CechComplex((3, 3), 2, (d0, ((1, 7, -1), (0, 0, 0)))).spaces \
+            == (3, 3)
 
 
 class TestAlternating:

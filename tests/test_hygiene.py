@@ -1,6 +1,8 @@
 """Source rules for src/adicspec, checked on the syntax tree: no floats
 (every result is exact), no bare ValueError (every error is an AdicError
-with a code), and no assert (checks must survive python -O)."""
+with a code), no assert (checks must survive python -O), and no call that
+changes a process-wide interpreter limit (an in-process caller, such as a
+test run or the CLI under CliRunner, would inherit it)."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,16 @@ ASSERT_ALLOWED = {
         "exhaust",
 }
 
+# sys functions that change a limit of the whole interpreter
+PROCESS_GLOBAL = {"set_int_max_str_digits", "setrecursionlimit"}
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
 
 def _findings(path: Path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -32,6 +44,8 @@ def _findings(path: Path):
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "float":
             out.append(f"{where}: float() call")
+        elif isinstance(node, ast.Call) and _called_name(node) in PROCESS_GLOBAL:
+            out.append(f"{where}: {_called_name(node)}() call")
         elif isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "ValueError":
@@ -61,13 +75,19 @@ def test_allowed_asserts_still_exist():
 
 def test_the_rules_catch_each_kind(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(x):\n"
+    bad.write_text("import sys\n"
+                   "from sys import setrecursionlimit\n"
+                   "def f(x):\n"
                    "    assert x\n"
                    "    y = float(x) + 0.5\n"
+                   "    sys.set_int_max_str_digits(0)\n"
+                   "    setrecursionlimit(10 ** 6)\n"
                    "    raise ValueError('no')\n")
     found = _findings(bad)
     assert [f.split(": ", 1)[1] for f in found] == [
-        "assert in f", "float() call", "float literal 0.5", "raise ValueError"]
+        "assert in f", "float() call", "float literal 0.5",
+        "set_int_max_str_digits() call", "setrecursionlimit() call",
+        "raise ValueError"]
 
 
 def _unused_imports(path: Path):

@@ -31,6 +31,13 @@ _entries = st.sampled_from([0] * 8 + [-3, -2, -1, 1, 2, 3])
 _matrices = st.integers(0, 8).flatmap(lambda ncols: st.lists(
     st.lists(_entries, min_size=ncols, max_size=ncols), max_size=8))
 _settings = settings(max_examples=150)
+# up to 14 x 5 and 5 x 14, so both rows (wide) and columns (tall) are
+# eliminated
+_skinny_matrices = st.tuples(st.integers(0, 14), st.integers(0, 5)).flatmap(
+    lambda shape: st.sampled_from([shape, shape[::-1]])).flatmap(
+    lambda shape: st.lists(
+        st.lists(_entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
 
 
 def transpose(matrix):
@@ -53,6 +60,11 @@ class TestRank:
     @_settings
     @given(_matrices)
     def test_matches_gauss_jordan(self, m):
+        assert rank(m) == gauss_jordan_rank(m)
+
+    @settings(max_examples=100)
+    @given(_skinny_matrices)
+    def test_tall_and_wide_match_gauss_jordan(self, m):
         assert rank(m) == gauss_jordan_rank(m)
 
     @_settings
