@@ -2,16 +2,14 @@
 
 A finite presheaf is given by explicit data: a cover size n, a rational
 vector-space dimension for every nonempty subset of cover indices, and a
-restriction matrix for every one-step inclusion of subsets.  From this
-the full cochain complex (all index tuples) and the alternating
-subcomplex (strictly increasing tuples) are built as integer matrices,
-every differential scaled by one common denominator of the restrictions,
-and cohomology dimensions are computed by fraction-free elimination.
-The matrices are dense int rows at every boundary, but mostly zero, so
-the work follows their nonzeros: a differential visits only the tuples
-and faces whose F(U) is nonzero and adds only the nonzero entries of each
-restriction, and the d o d = 0 check sums products of nonzero entries of
-both factors only.
+restriction matrix for every one-step inclusion of subsets, stored once as
+a sparse integer ``linalg.Matrix`` scaled by the common denominator D of
+all restrictions.  From these the full cochain complex (all index tuples)
+and the alternating subcomplex (strictly increasing tuples) are built as
+sparse integer matrices, D times the true differentials, and cohomology
+dimensions are computed by fraction-free elimination.  The work follows
+the nonzeros: only tuples and faces whose F(U) is nonzero are visited,
+and the d o d = 0 check and the rank read nothing else.
 
 The module also carries the concrete Laurent-cover exactness check: for
 a nonzero polynomial f the two-set cover {|f| <= 1}, {|f| >= 1} has an
@@ -24,8 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, compress, product
+from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -36,7 +33,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroSeries,
 )
-from .linalg import identity, mat_mul, rank
+from .linalg import Matrix, mat_mul, rank
 from .polys import Poly, degree, poly, poly_add, poly_const, poly_mul, poly_neg
 from .tate import TateSeries, render_series
 
@@ -51,82 +48,76 @@ class FinitePresheaf:
 
     dims maps every nonempty frozenset of indices S to dim F(U_S); res
     maps every one-step pair (S, S') with S' = S + one index to the
-    restriction matrix F(U_S) -> F(U_S'), stored as rows of Fractions.
+    restriction matrix F(U_S) -> F(U_S') times scale, an integer Matrix;
+    scale is the least common denominator D of all restrictions (1 when
+    they are integer).
     """
 
     n: int
     dims: dict
+    scale: int
     res: dict
 
     def dim(self, S) -> int:
         return self.dims[frozenset(S)]
 
-    @cached_property
-    def integer_res(self):
-        """(D, {pair: res scaled by D as sparse (row, col, int) entries}),
-        D the lcm of the denominators of every one-step restriction (1 for
-        integer restrictions); zero entries are left out."""
-        scale = lcm(*(x.denominator for m in self.res.values()
-                      for row in m for x in row))
-        return scale, {key: [(r, c, x.numerator * (scale // x.denominator))
-                             for r, row in enumerate(m)
-                             for c, x in enumerate(row) if x]
-                       for key, m in self.res.items()}
+
+def _subsets(n: int) -> list:
+    return [frozenset(c) for size in range(1, n + 1)
+            for c in combinations(range(n), size)]
 
 
-def _subsets(n: int):
-    idx = range(n)
-    for size in range(1, n + 1):
-        for combo in combinations(idx, size):
-            yield frozenset(combo)
+def _one_step_pairs(n: int) -> list:
+    return [(S, S | {t}) for S in _subsets(n) for t in range(n) if t not in S]
 
 
 def presheaf(n: int, dims: dict, res: dict) -> FinitePresheaf:
-    """Validate dimensions, matrix shapes and functoriality."""
+    """Validate dimensions, matrix shapes and functoriality of restrictions
+    given as rows of rationals, and store them scaled to integers."""
     dims = {frozenset(k): int(v) for k, v in dims.items()}
-    # tuples of lists, not of generators, throughout: see polys._normal
     res = {(frozenset(a), frozenset(b)):
-           tuple([tuple([Fraction(x) for x in row]) for row in m])
+           [[x if type(x) is int else Fraction(x) for x in row] for row in m]
            for (a, b), m in res.items()}
     for S in _subsets(n):
         if S not in dims:
             raise NonFunctorialPresheaf(f"missing dimension for {set(S)}")
-    for S in _subsets(n):
-        for t in range(n):
-            if t in S:
-                continue
-            Sp = S | {t}
-            if (S, Sp) not in res:
-                raise NonFunctorialPresheaf(
-                    f"missing restriction {set(S)} -> {set(Sp)}")
-            m = res[(S, Sp)]
-            if len(m) != dims[Sp] or any(len(row) != dims[S] for row in m):
-                raise NonFunctorialPresheaf(
-                    f"restriction {set(S)} -> {set(Sp)} has wrong shape")
-    # all chains of one-step restrictions between two index sets give the
-    # same composite exactly when every square of them commutes
+    pairs = _one_step_pairs(n)
+    for S, Sp in pairs:
+        if (S, Sp) not in res:
+            raise NonFunctorialPresheaf(
+                f"missing restriction {set(S)} -> {set(Sp)}")
+        m = res[(S, Sp)]
+        if len(m) != dims[Sp] or any(len(row) != dims[S] for row in m):
+            raise NonFunctorialPresheaf(
+                f"restriction {set(S)} -> {set(Sp)} has wrong shape")
+    for S, Sp in res.keys() - set(pairs):
+        raise NonFunctorialPresheaf(
+            f"restriction {set(S)} -> {set(Sp)} is not a one-step inclusion")
+    scale = lcm(*[x.denominator for m in res.values() for row in m
+                  for x in row])
+    return _functorial(n, dims, scale, {
+        (S, Sp): Matrix.from_rows([[int(x * scale) for x in row] for row in m],
+                                  dims[S]) for (S, Sp), m in res.items()})
+
+
+def _functorial(n: int, dims: dict, scale: int, res: dict) -> FinitePresheaf:
+    """The presheaf, once every square of scaled restrictions commutes, so
+    all chains of them between two index sets give the same composite."""
     for S in _subsets(n):
         for t, u in combinations(sorted(set(range(n)) - S), 2):
-            top = S | {t, u}
-            if _via(dims, res, S, t, top) != _via(dims, res, S, u, top):
+            top, St, Su = S | {t, u}, S | {t}, S | {u}
+            if (mat_mul(res[(St, top)], res[(S, St)])
+                    != mat_mul(res[(Su, top)], res[(S, Su)])):
                 raise NonFunctorialPresheaf(
                     f"restrictions {set(S)} -> {set(top)} disagree along "
                     f"different chains")
-    return FinitePresheaf(n, dims, res)
-
-
-def _via(dims, res, S, t, top):
-    """res(S + t -> top) o res(S -> S + t) as a dims[top] x dims[S] matrix."""
-    mid = S | {t}
-    return (mat_mul(res[(mid, top)], res[(S, mid)])
-            or [[0] * dims[S]] * dims[top])
+    return FinitePresheaf(n, dims, scale, res)
 
 
 def constant_presheaf(n: int, dim: int) -> FinitePresheaf:
-    dims = {S: dim for S in _subsets(n)}
-    res = {(S, S | {t}): identity(dim)
-           for S in _subsets(n) for t in range(n) if t not in S}
-    return presheaf(n, dims, res)
+    eye = Matrix([{i: 1} for i in range(dim)], dim)
+    return _functorial(n, {S: dim for S in _subsets(n)}, 1,
+                       {pair: eye for pair in _one_step_pairs(n)})
 
 
 def function_presheaf(n: int, point_sets) -> FinitePresheaf:
@@ -137,37 +128,29 @@ def function_presheaf(n: int, point_sets) -> FinitePresheaf:
     Always functorial.
     """
     point_sets = [frozenset(s) for s in point_sets]
-    carriers = {}
-    for S in _subsets(n):
-        pts = frozenset.intersection(*(point_sets[i] for i in S))
-        carriers[S] = sorted(pts)
+    carriers = {S: sorted(frozenset.intersection(*(point_sets[i] for i in S)))
+                for S in _subsets(n)}
     dims = {S: len(carriers[S]) for S in _subsets(n)}
-    res = {}
-    for S in _subsets(n):
-        for t in range(n):
-            if t in S:
-                continue
-            Sp = S | {t}
-            res[(S, Sp)] = [[Fraction(int(p == q)) for q in carriers[S]]
-                            for p in carriers[Sp]]
-    return presheaf(n, dims, res)
+    res = {(S, Sp): Matrix([{carriers[S].index(p): 1} for p in carriers[Sp]],
+                           dims[S]) for S, Sp in _one_step_pairs(n)}
+    return _functorial(n, dims, 1, res)
 
 
 def _unimodular_pair(rng, d: int):
     """Random integer matrix with determinant +-1, together with its
     exact inverse, built from elementary row operations."""
-    M = identity(d)
-    Minv = identity(d)
+    M, Minv = ([[int(i == j) for j in range(d)] for i in range(d)]
+               for _ in range(2))
     for _ in range(2 * d):
         i, j = rng.randrange(d), rng.randrange(d)
         if i == j:
             continue
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
+        c = rng.choice([-2, -1, 1, 2])
         for col in range(d):
             M[i][col] += c * M[j][col]
         for row in range(d):
             Minv[row][j] -= c * Minv[row][i]
-    return M, Minv
+    return Matrix.from_rows(M, d), Matrix.from_rows(Minv, d)
 
 
 def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
@@ -177,10 +160,9 @@ def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
                   for _ in range(n)]
     base = function_presheaf(n, point_sets)
     basis = {S: _unimodular_pair(rng, base.dims[S]) for S in _subsets(n)}
-    res = {}
-    for (S, Sp), m in base.res.items():
-        res[(S, Sp)] = mat_mul(basis[Sp][0], mat_mul(m, basis[S][1]))
-    return presheaf(n, base.dims, res)
+    res = {(S, Sp): mat_mul(basis[Sp][0], mat_mul(m, basis[S][1]))
+           for (S, Sp), m in base.res.items()}
+    return _functorial(n, base.dims, 1, res)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +173,16 @@ def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
 class CechComplex:
     """Spaces C^0..C^qmax (plus the buffer dimension of C^{qmax+1}) and
     differentials d^q: C^q -> C^{q+1} for q = 0..qmax.  Construction
-    checks that every d^{q+1} o d^q vanishes."""
+    checks that every d^{q+1} o d^q is defined and vanishes."""
 
     spaces: tuple          # dims of C^0 .. C^qmax
     buffer_dim: int        # dim of C^{qmax+1}
-    diffs: tuple           # d^0 .. d^qmax as dense rows of ints
+    diffs: tuple           # d^0 .. d^qmax as integer Matrices
 
     def __post_init__(self):
-        for q in range(len(self.diffs) - 1):
-            if not _compose_is_zero(self.diffs[q + 1], self.diffs[q]):
+        for q, (d_prev, d_next) in enumerate(zip(self.diffs, self.diffs[1:])):
+            if (d_next.ncols != len(d_prev.rows)
+                    or not mat_mul(d_next, d_prev).is_zero()):
                 raise NotAComplex(f"d^{q + 1} o d^{q} != 0")
 
 
@@ -212,74 +195,60 @@ def tuple_sign(t) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _degree_tuples(n: int, q: int, alternating: bool):
-    if alternating:
-        return list(combinations(range(n), q + 1))
-    return list(product(range(n), repeat=q + 1))
-
-
-def _layout(P: FinitePresheaf, tuples) -> tuple:
-    """({tuple: (offset, index set, dim F(U_tuple))}, total dimension) for
-    the tuples of one degree, laid out one block after another."""
-    cells = {}
-    total = 0
-    for t in tuples:
-        S = frozenset(t)
-        dim = P.dims[S]
-        cells[t] = (total, S, dim)
-        total += dim
-    return cells, total
-
-
 def _differential(P: FinitePresheaf, q: int, alternating: bool):
-    """d^q times the common denominator D of the restrictions, as dense
-    int rows.  A face sigma of tau spans the same index set (D times the
-    identity) or one index fewer (a one-step restriction); a tuple or face
-    whose F(U) is 0 has no entries and is skipped, and a restriction adds
-    only its nonzero entries."""
-    src, src_dim = _layout(P, _degree_tuples(P.n, q, alternating))
-    dst, dst_dim = _layout(P, _degree_tuples(P.n, q + 1, alternating))
-    scale, res = P.integer_res
-    matrix = [[0] * src_dim for _ in range(dst_dim)]
+    """d^q times the common denominator D of the restrictions, as an
+    integer Matrix.  Each degree's cells are the tuples whose F(U) is
+    nonzero, laid out in lexicographic order, in which each degree's
+    tuples extend those of the degree below; index sets are bit masks.  A
+    face sigma of tau spans the same index set (D times the identity) or
+    one index fewer (a one-step restriction).  Dropping either of two
+    equal neighbours of tau gives one face with opposite signs, so such
+    pairs are skipped and every entry is written once."""
+    masks = {frozenset(): 0}
+    for i in range(P.n):
+        masks.update({S | {i}: m | 1 << i for S, m in masks.items()})
+    dims = {masks[S]: d for S, d in P.dims.items()}
+    res = {(masks[S], masks[Sp]): m.rows for (S, Sp), m in P.res.items()}
+    level, layouts = [((), 0)], []
+    for k in range(q + 2):
+        level = [(t + (i,), m | 1 << i) for t, m in level
+                 for i in range(t[-1] + 1 if alternating and t else 0, P.n)]
+        if k >= q:
+            cells, total = {}, 0    # tuple -> (offset, mask, dim F(U))
+            for t, m in level:
+                if dims[m]:
+                    cells[t] = (total, m, dims[m])
+                    total += dims[m]
+            layouts.append((cells, total))
+    (src, src_dim), (dst, dst_dim) = layouts
+    rows = [{} for _ in range(dst_dim)]
     for tau, (r0, S_tau, dim) in dst.items():
-        if not dim:
-            continue
-        for j in range(len(tau)):
-            c0, S_sigma, src_cell_dim = src[tau[:j] + tau[j + 1:]]
-            if not src_cell_dim:
+        k, j = len(tau), 0
+        while j < k:
+            if j + 1 < k and tau[j] == tau[j + 1]:
+                j += 2
                 continue
+            cell = src.get(tau[:j] + tau[j + 1:])
             sign = -1 if j % 2 else 1
-            if S_sigma == S_tau:
-                for r in range(dim):
-                    matrix[r0 + r][c0 + r] += sign * scale
+            j += 1
+            if cell is None:
                 continue
-            for r, c, x in res[(S_sigma, S_tau)]:
-                matrix[r0 + r][c0 + c] += sign * x
-    return matrix, src_dim, dst_dim
-
-
-def _compose_is_zero(d_next, d_prev) -> bool:
-    """Whether d_next o d_prev = 0, each row of the product summed over
-    the nonzero entries of both factors only."""
-    prev = [list(compress(enumerate(row), row)) for row in d_prev]
-    for row in d_next:
-        acc = {}
-        for w, prev_row in compress(zip(row, prev), row):
-            for c, v in prev_row:
-                acc[c] = acc.get(c, 0) + w * v
-        if any(acc.values()):
-            return False
-    return True
+            c0, S_sigma, _ = cell
+            if S_sigma == S_tau:
+                for r in range(r0, r0 + dim):
+                    rows[r][c0 + r - r0] = sign * P.scale
+                continue
+            for target, entries in zip(rows[r0:r0 + dim],
+                                       res[(S_sigma, S_tau)]):
+                for c, x in entries.items():
+                    target[c0 + c] = sign * x
+    return Matrix(rows, src_dim), src_dim, dst_dim
 
 
 def _build(P: FinitePresheaf, alternating: bool) -> CechComplex:
-    spaces = []
-    diffs = []
-    for q in range(max(P.n - 1, 0) + 1):
-        matrix, src_dim, dst_dim = _differential(P, q, alternating)
-        spaces.append(src_dim)
-        diffs.append(tuple([tuple(row) for row in matrix]))
-    return CechComplex(tuple(spaces), dst_dim, tuple(diffs))
+    diffs, spaces, dims = zip(*[_differential(P, q, alternating)
+                                for q in range(max(P.n - 1, 0) + 1)])
+    return CechComplex(spaces, dims[-1], diffs)
 
 
 def build_complex(P: FinitePresheaf) -> CechComplex:
@@ -294,12 +263,8 @@ def alternating_subcomplex(P: FinitePresheaf) -> CechComplex:
 
 def cohomology(C: CechComplex):
     """Cohomology dimensions in degrees 0..qmax, exactly."""
-    ranks = [rank(d) for d in C.diffs]
-    out = []
-    for q, dim in enumerate(C.spaces):
-        r_prev = ranks[q - 1] if q > 0 else 0
-        out.append(dim - ranks[q] - r_prev)
-    return out
+    ranks = [0] + [rank(d) for d in C.diffs]    # ranks[q] = rank d^{q-1}
+    return [dim - ranks[q + 1] - ranks[q] for q, dim in enumerate(C.spaces)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +273,7 @@ def cohomology(C: CechComplex):
 
 def _parse_index_set(token: str) -> frozenset:
     try:
-        return frozenset(int(part) for part in token.split(","))
+        return frozenset(map(int, token.split(",")))
     except ValueError as exc:
         raise ParseError(f"bad index set {token!r}") from exc
 
@@ -350,9 +315,10 @@ def parse_presheaf_text(text: str) -> FinitePresheaf:
                 i += 1
                 if i >= len(lines):
                     raise ParseError("truncated restriction matrix")
-                try:
-                    rows.append([Fraction(tok) for tok in lines[i].split()])
-                except ValueError as exc:
+                try:    # int tokens, the common case, need no Fraction
+                    rows.append([int(t) if t.lstrip("-").isdecimal()
+                                 else Fraction(t) for t in lines[i].split()])
+                except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad matrix row {lines[i]!r}") from exc
             res[(S, Sp)] = rows
             i += 1
@@ -373,8 +339,9 @@ def render_presheaf_text(P: FinitePresheaf) -> str:
         out.append(f"dim {show(S)} {P.dims[S]}")
     for (S, Sp) in sorted(P.res, key=lambda k: (key(k[0]), key(k[1]))):
         out.append(f"res {show(S)} {show(Sp)}")
-        for row in P.res[(S, Sp)]:
-            out.append(" ".join(str(x) for x in row))
+        m = P.res[(S, Sp)]
+        out += [" ".join(str(Fraction(row.get(c, 0), P.scale))
+                         for c in range(m.ncols)) for row in m.rows]
     return "\n".join(out) + "\n"
 
 
@@ -504,7 +471,8 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
-# lambda's matrix is dense at rank's boundary, O(N^2) entries
+# lambda has 2N + 2 nonzero entries; check 3's Laurent products, linear in
+# N, set the cost: N = 1000 takes 0.6 to 0.8 s in a fresh process
 MAX_WINDOW = 1000
 
 
@@ -531,19 +499,18 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     if N < deg_f + 2:
         raise TruncationTooSmall(f"need N >= deg(f) + 2 = {deg_f + 2}")
 
-    # lambda over the monomial basis: columns are the images of
-    # (z^0, 0)..(z^N, 0) then (0, eta^0)..(0, eta^N), rows are z^d for
-    # d in [-N, N]; every image is a constant monomial.
+    # lambda over the monomial basis: column j is the image z^j of
+    # (z^j, 0) and column N + 1 + j the image -z^{-j} of (0, eta^j), for
+    # j = 0..N; row N + d is z^d for d in [-N, N]
     dom = 2 * (N + 1)
     cod = 2 * N + 1
-    zero, one = laurent({}), laurent({0: 1})
-    basis = [laurent({j: 1}) for j in range(N + 1)]
-    images = ([dict(lambda_map(b, zero).coeffs) for b in basis]
-              + [dict(lambda_map(zero, b).coeffs) for b in basis])
-    matrix = [[int(im[d][0]) if d in im else 0 for im in images]
-              for d in range(-N, N + 1)]
-    lam_rank = rank(matrix)
+    rows = [{} for _ in range(cod)]
+    for j in range(N + 1):
+        rows[N + j][j] = 1
+        rows[N - j][N + 1 + j] = -1
+    lam_rank = rank(Matrix(rows, dom))
     kernel_dim = dom - lam_rank
+    one = laurent({0: 1})
     kernel_is_diagonal = kernel_dim == 1 and lambda_map(one, one).is_zero()
     surjective = lam_rank == cod
 

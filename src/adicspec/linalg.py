@@ -1,21 +1,47 @@
-"""Exact linear algebra: the rank of integer matrices, and matrix products.
+"""Exact linear algebra on one sparse integer matrix value.
 
-``rank`` takes a matrix as rows of ints and eliminates on sparse
-``{index: int}`` vectors without fractions: each vector is reduced against
-the pivot vector with the same leading index and divided by its content,
-so the elimination involves no rational or floating point arithmetic.
-The cost follows the nonzeros: ``itertools.compress`` finds each row's
-nonzero entries in one scan at C speed, and elimination runs on the
-shorter side of the matrix, its columns when it has fewer columns than
-rows (rank M = rank M^T), so only that side's length minus the rank of
-its vectors are reduced all the way to zero.
+A ``Matrix`` is a shape and sparse rows, so every operation costs in
+proportion to the nonzeros: ``mat_mul`` sums products of nonzero entries
+only, and ``rank`` eliminates without fractions on the shorter side of
+the matrix (rank M = rank M^T), dividing each reduced vector by its
+content.  For callers that read rows of numbers, a ``Matrix`` is also a
+read-only sequence of dense rows (``len``, indexing and, through the
+sequence protocol, iteration), a view the library itself never reads.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import compress
 from math import gcd
+
+
+@dataclass(frozen=True)
+class Matrix:
+    """An integer matrix with len(rows) rows and ncols columns; rows[i]
+    maps the column of each nonzero entry of row i to it (read-only)."""
+
+    rows: list
+    ncols: int
+
+    @classmethod
+    def from_rows(cls, dense, ncols: int = 0) -> Matrix:
+        """The matrix of this sequence of dense rows of ints; ncols is the
+        width of a matrix without rows."""
+        return cls([dict(compress(enumerate(row), row)) for row in dense],
+                   len(dense[0]) if dense else ncols)
+
+    def is_zero(self) -> bool:
+        return not any(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> list:
+        row = [0] * self.ncols
+        for c, x in self.rows[i].items():
+            row[c] = x
+        return row
 
 
 def _primitive(row: dict) -> dict:
@@ -24,21 +50,23 @@ def _primitive(row: dict) -> dict:
     return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
-def rank(matrix) -> int:
-    """Rank over Q of a matrix of integer rows, by sparse fraction-free
-    elimination on its shorter side."""
-    vectors = [dict(compress(enumerate(dense), dense)) for dense in matrix]
-    if vectors and len(matrix[0]) < len(vectors):
-        columns = [{} for _ in matrix[0]]
-        for r, row in enumerate(vectors):
+def rank(matrix: Matrix) -> int:
+    """Rank over Q of an integer matrix, by sparse fraction-free
+    elimination on its shorter side, each vector reduced against the pivot
+    with the same leading index, its largest: on the Cech differentials
+    that leaves a third fewer entries to eliminate than the smallest."""
+    if matrix.ncols < len(matrix.rows):
+        vectors = [{} for _ in range(matrix.ncols)]
+        for r, row in enumerate(matrix.rows):
             for c, x in row.items():
-                columns[c][r] = x
-        vectors = columns
+                vectors[c][r] = x
+    else:
+        vectors = map(dict, matrix.rows)    # reduced in place below
     pivots = {}    # leading index -> the pivot vector with that leading index
     for row in vectors:
         row = _primitive(row)
         while row:
-            lead = min(row)
+            lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
@@ -59,13 +87,16 @@ def rank(matrix) -> int:
     return len(pivots)
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in cols] for row in a]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, summed over the nonzero entries of both factors;
+    a has as many columns as b has rows."""
+    b_rows = b.rows
+    rows = []
+    for row in a.rows:
+        acc = {}
+        get = acc.get
+        for k, w in row.items():
+            for c, v in b_rows[k].items():
+                acc[c] = get(c, 0) + w * v
+        rows.append({c: x for c, x in acc.items() if x})
+    return Matrix(rows, b.ncols)

@@ -23,6 +23,7 @@ subgroups, from the trivial subgroup (0) up to the full group (the height).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,9 +33,18 @@ from .errors import (
     MismatchedGroups,
     NotConvexSubgroupOfValueGroup,
     ParseError,
+    TooLarge,
 )
 
 LT, EQ, GT = -1, 0, 1
+
+# largest arity of a lexicographic group: its subgroup chain is printed
+# one line per subgroup
+MAX_LEX_ARITY = 10000
+# largest estimated bit size of a power q^n that group_pow builds, and of
+# the folded real part q*r^k of a parsed radius element, which every
+# comparison builds; a decimal form stops at 4300 digits, about 14300 bits
+MAX_ELEMENT_BITS = 100_000
 
 
 class GroupKind(Enum):
@@ -61,6 +71,8 @@ def trivial_group() -> Group:
 def lex_group(n: int) -> Group:
     if n < 1:
         raise MalformedElement("LexRational arity must be >= 1")
+    if n > MAX_LEX_ARITY:
+        raise TooLarge(f"LexRational arity {n} exceeds {MAX_LEX_ARITY}")
     return Group(GroupKind.LEX_RATIONAL, n=n)
 
 
@@ -163,12 +175,23 @@ def group_inv(a: GroupElement) -> GroupElement:
     return GroupElement(a.group, (1 / a.payload[0], -a.payload[1]))
 
 
+def _check_power_bits(x: Fraction, n: int, what: str) -> None:
+    """Refuse x^n, before it is built, when it has more than about
+    MAX_ELEMENT_BITS bits (at least |n| * floor(log2 max(|num|, den)))."""
+    if abs(n) * (max(abs(x.numerator), x.denominator).bit_length() - 1) \
+            > MAX_ELEMENT_BITS:
+        raise TooLarge(f"{what} ({x})^{n} exceeds {MAX_ELEMENT_BITS} bits")
+
+
 def group_pow(a: GroupElement, n: int) -> GroupElement:
+    """a^n; a power with more than about MAX_ELEMENT_BITS bits raises
+    TooLarge before it is computed."""
     k = a.group.kind
     if k is GroupKind.TRIVIAL:
         return a
     if k is GroupKind.LEX_RATIONAL:
         return GroupElement(a.group, tuple(n * x for x in a.payload))
+    _check_power_bits(a.payload[0], n, "power")
     if k is GroupKind.POS_RATIONAL:
         return GroupElement(a.group, (a.payload[0] ** n,))
     return GroupElement(a.group, (a.payload[0] ** n, n * a.payload[1]))
@@ -373,15 +396,21 @@ def is_cofinal(g: GroupElement, H: ConvexSubgroup) -> bool:
 # --- text rendering / parsing (CLI interface) ------------------------------
 
 def render_element(a: GroupElement) -> str:
+    """The element's text form; a number longer than
+    sys.get_int_max_str_digits() digits raises TooLarge."""
     k = a.group.kind
-    if k is GroupKind.TRIVIAL:
-        return "1"
-    if k is GroupKind.LEX_RATIONAL:
-        return "(" + ",".join(str(e) for e in a.payload) + ")"
-    if k is GroupKind.POS_RATIONAL:
-        return str(a.payload[0])
-    mark = "<" if k is GroupKind.RADIUS_BELOW else ">"
-    return f"{a.payload[0]}*g^{a.payload[1]}@{a.group.r}{mark}"
+    try:
+        if k is GroupKind.TRIVIAL:
+            return "1"
+        if k is GroupKind.LEX_RATIONAL:
+            return "(" + ",".join(str(e) for e in a.payload) + ")"
+        if k is GroupKind.POS_RATIONAL:
+            return str(a.payload[0])
+        mark = "<" if k is GroupKind.RADIUS_BELOW else ">"
+        return f"{a.payload[0]}*g^{a.payload[1]}@{a.group.r}{mark}"
+    except ValueError:  # above the int-to-text digit limit
+        raise TooLarge(f"a {k.value} element has more than "
+                       f"{sys.get_int_max_str_digits()} digits to render")
 
 
 def parse_element(group: Group, text: str) -> GroupElement:
@@ -406,7 +435,10 @@ def parse_element(group: Group, text: str) -> GroupElement:
         if mark != expected or Fraction(radius[:-1]) != group.r:
             raise bad
         q, kpart = body.split("*g^")
-        return radius_element(group, Fraction(q), int(kpart))
+        kexp = int(kpart)
+        # every comparison folds q*g^k to q*r^k
+        _check_power_bits(group.r, kexp, "folded real part with")
+        return radius_element(group, Fraction(q), kexp)
     except (ValueError, ZeroDivisionError, MalformedElement) as exc:
         raise bad from exc
 

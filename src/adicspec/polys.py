@@ -25,6 +25,16 @@ MAX_DEGREE = 10000
 # the parser expands: at this cap the slowest shape measured, the square of
 # a dense 11-term polynomial's 120th power, takes about 1 s (Python 3.11)
 MAX_EXPANSION_BITS = 2_000_000
+# largest number of coefficient products in one convolution the parser
+# runs, terms(f) * (deg g + 1) for f * g: at the 65 to 85 ns each measured
+# (Python 3.11, shared 2-vCPU host) this cap takes under 1 s
+MAX_PRODUCT_WORK = 10 ** 7
+# largest estimated work of one Taylor shift, deg^2 * (1 + bits * words /
+# 1024) with bits the size of its integer coefficients at the end and
+# words the 64-bit words of the integer shift: at the 1.2e-8 to 2.2e-8 s
+# per unit measured for degrees 800 to 3000 (same host) this cap takes
+# about 1 s
+MAX_SHIFT_WORK = 5 * 10 ** 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,13 +256,20 @@ def taylor_shift(f: Poly, c) -> Poly:
     f(X + c) = content/w^N * sum e_k w^k X^k.  The shift by the integer u
     is Horner's scheme on integers (von zur Gathen and Gerhard, "Fast
     algorithms for Taylor shifts", ISSAC 1997): no binomials and no
-    rational arithmetic.
+    rational arithmetic.  A shift whose estimated work is above
+    MAX_SHIFT_WORK raises TooLarge before it starts; c = 0 is no shift.
     """
-    if not f:
-        return ZERO
-    c = Fraction(c)
+    if type(c) is not Fraction:    # eval_at passes a Fraction already
+        c = Fraction(c)
     u, w = c.numerator, c.denominator
-    n = len(f.coeffs) - 1
+    if not f or not u:
+        return f
+    n, ub, coeffs = len(f.coeffs) - 1, u.bit_length(), f.coeffs
+    bits = (max(max(coeffs), -min(coeffs)).bit_length()
+            + n * (ub + w.bit_length()))
+    if n * n * (1024 + bits * (1 + ub // 64)) > 1024 * MAX_SHIFT_WORK:
+        raise TooLarge(f"Taylor shift of degree {n} by {c} exceeds "
+                       f"{MAX_SHIFT_WORK} units of work")
     e = [x * w ** (n - k) for k, x in enumerate(f.coeffs)]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
@@ -292,11 +309,15 @@ def _bits(f: Poly, terms: int = 1) -> int:
     return (terms * top - 1).bit_length()
 
 
-def _check_size(deg: int, bits: int, what: str):
-    """Refuse, before it is built, an expansion too large to build."""
+def _check_size(deg: int, bits: int, work: int, what: str):
+    """Refuse, before it is built, an expansion too large to build or
+    whose largest convolution has more than MAX_PRODUCT_WORK products."""
     if deg > MAX_DEGREE or (deg + 1) * bits > MAX_EXPANSION_BITS:
         raise TooLarge(f"{what} of degree {deg} with {bits}-bit coefficients "
                        f"exceeds degree {MAX_DEGREE} or {MAX_EXPANSION_BITS} bits")
+    if work > MAX_PRODUCT_WORK:
+        raise TooLarge(f"{what} of degree {deg} needs {work} coefficient "
+                       f"products, more than {MAX_PRODUCT_WORK}")
 
 
 class _Parser:
@@ -336,7 +357,8 @@ class _Parser:
             # a coefficient of the product sums at most min(terms) products
             terms = min(len(node), len(rhs))
             _check_size(degree(node) + degree(rhs),
-                        _bits(node, terms) + _bits(rhs), "product")
+                        _bits(node, terms) + _bits(rhs),
+                        len(node) * (degree(rhs) + 1), "product")
             node = poly_mul(node, rhs)
         return node
 
@@ -348,9 +370,15 @@ class _Parser:
                 self.error("negative exponent")
             if exp > MAX_DEGREE:
                 raise TooLarge(f"exponent {exp} exceeds {MAX_DEGREE}")
-            # the coefficients of f^n are at most l1(f)^n <= (terms * max)^n
-            _check_size(degree(node) * exp,
-                        exp * _bits(node, len(node)), f"power {exp}")
+            # the coefficients of f^n are at most l1(f)^n <= (terms * max)^n;
+            # unless f is a monomial, the largest convolution is about
+            # f^k * f^(exp-k), k = exp // 2, f^k having at most
+            # min(terms^k, deg * k + 1) terms
+            d, k = degree(node), exp // 2
+            work = (min(len(node) ** k, d * k + 1) * (d * (exp - k) + 1)
+                    if len(node) > 1 else 0)
+            _check_size(d * exp, exp * _bits(node, len(node)), work,
+                        f"power {exp}")
             node = poly_pow(node, exp)
         return node
 

@@ -40,13 +40,14 @@ from adicspec.errors import (
     TruncationTooSmall,
     ZeroSeries,
 )
-from adicspec.linalg import identity
+from adicspec.linalg import Matrix
 from adicspec.tate import parse_series, series
 
 
 def dense_differential(P, q: int, alternating: bool):
     """d^q entry by entry on dense rows, the common denominator D of the
-    restrictions computed afresh: the oracle for _differential."""
+    restrictions computed afresh from the rationals they stand for: the
+    oracle for _differential, read through the row view of P.res."""
     def tuples(k):
         return (list(combinations(range(P.n), k + 1)) if alternating
                 else list(product(range(P.n), repeat=k + 1)))
@@ -61,7 +62,9 @@ def dense_differential(P, q: int, alternating: bool):
     src, dst = tuples(q), tuples(q + 1)
     src_off, src_dim = layout(src)
     dst_off, dst_dim = layout(dst)
-    scale = lcm(*(x.denominator for m in P.res.values()
+    restrictions = {key: [[Fraction(x, P.scale) for x in row] for row in m]
+                    for key, m in P.res.items()}
+    scale = lcm(*(x.denominator for m in restrictions.values()
                   for row in m for x in row))
     matrix = [[0] * src_dim for _ in range(dst_dim)]
     for tau in dst:
@@ -75,7 +78,7 @@ def dense_differential(P, q: int, alternating: bool):
                 for r in range(P.dims[S_tau]):
                     matrix[r0 + r][c0 + r] += sign * scale
                 continue
-            for r, row in enumerate(P.res[(S_sigma, S_tau)]):
+            for r, row in enumerate(restrictions[(S_sigma, S_tau)]):
                 for c, x in enumerate(row):
                     matrix[r0 + r][c0 + c] += sign * int(x * scale)
     return matrix, src_dim, dst_dim
@@ -96,7 +99,9 @@ class TestBuildComplex:
                       for key, m in base.res.items()})
         for alternating in (False, True):
             for q in range(n):
-                assert _differential(P, q, alternating) == \
+                matrix, src_dim, dst_dim = _differential(P, q, alternating)
+                assert all(all(row.values()) for row in matrix.rows)
+                assert (list(matrix), src_dim, dst_dim) == \
                     dense_differential(P, q, alternating)
 
     def test_trivial_cover(self):
@@ -124,7 +129,7 @@ class TestBuildComplex:
         for S in list(dims):
             for t in range(3):
                 if t not in S:
-                    res[(S, S | {t})] = identity(1)
+                    res[(S, S | {t})] = [[1]]
         # break one square: composite 0 -> {0,1} -> {0,1,2} gives 2,
         # while 0 -> {0,2} -> {0,1,2} still gives 1
         res[(frozenset({0, 1}), frozenset({0, 1, 2}))] = [[Fraction(2)]]
@@ -160,7 +165,7 @@ class TestBuildComplex:
                          for i, row in enumerate(m)]
                for (S, Sp), m in base.res.items()}
         P = presheaf(3, base.dims, res)
-        assert P.integer_res[0] % 42 == 0
+        assert P.scale % 42 == 0
         for make in (build_complex, alternating_subcomplex):
             assert cohomology(make(P)) == cohomology(make(base))
 
@@ -179,20 +184,38 @@ class TestBuildComplex:
     def test_hand_built_complex_is_checked(self):
         # d^0 = (1), d^1 = (1): d^1 o d^0 != 0
         with pytest.raises(NotAComplex):
-            CechComplex((1, 1), 1, (((1,),), ((1,),)))
-        assert CechComplex((1, 1), 1, (((1,),), ((0,),))).buffer_dim == 1
+            CechComplex((1, 1), 1, (Matrix.from_rows([[1]]),
+                                    Matrix.from_rows([[1]])))
+        assert CechComplex((1, 1), 1, (Matrix.from_rows([[1]]),
+                                       Matrix.from_rows([[0]]))).buffer_dim \
+            == 1
 
     def test_hand_built_product_with_one_nonzero_entry_is_checked(self):
         # d^0 is 3 x 3, d^1 is 2 x 3; d^1 o d^0 is zero except in its
         # last row and column, where the nonzero terms of row 1 of d^1
         # leave -1
-        d0 = ((1, 0, 0), (0, 0, 0), (1, 0, 1))
+        d0 = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [1, 0, 1]])
         with pytest.raises(NotAComplex):
-            CechComplex((3, 3), 2, (d0, ((0, 0, 0), (1, 5, -1))))
+            CechComplex((3, 3), 2,
+                        (d0, Matrix.from_rows([[0, 0, 0], [1, 5, -1]])))
         # here the nonzero terms cancel: 1 * (1, 0, 0) - 1 * (1, 0, 0)
-        d0 = ((1, 0, 0), (0, 0, 0), (1, 0, 0))
-        assert CechComplex((3, 3), 2, (d0, ((1, 7, -1), (0, 0, 0)))).spaces \
-            == (3, 3)
+        d0 = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [1, 0, 0]])
+        assert CechComplex(
+            (3, 3), 2, (d0, Matrix.from_rows([[1, 7, -1], [0, 0, 0]]))
+        ).spaces == (3, 3)
+
+    def test_hand_built_differentials_must_compose(self):
+        # d^1 has 3 columns, d^0 only 2 rows
+        with pytest.raises(NotAComplex):
+            CechComplex((1, 2), 1, (Matrix.from_rows([[0], [0]]),
+                                    Matrix.from_rows([[0, 0, 0]])))
+
+    def test_restriction_that_is_not_one_step_rejected(self):
+        P = constant_presheaf(3, 1)
+        res = {key: [[1]] for key in P.res}
+        res[(frozenset({0}), frozenset({0, 1, 2}))] = [[1]]
+        with pytest.raises(NonFunctorialPresheaf):
+            presheaf(3, P.dims, res)
 
 
 class TestAlternating:
@@ -246,11 +269,25 @@ class TestPresheafText:
         assert Q.dims == P.dims
         assert Q.res == P.res
 
+    def test_round_trip_of_rational_restrictions(self):
+        P = presheaf(2, {frozenset({0}): 2, frozenset({1}): 1,
+                         frozenset({0, 1}): 1},
+                     {((0,), (0, 1)): [[Fraction(1, 2), Fraction(-2, 3)]],
+                      ((1,), (0, 1)): [[Fraction(5, 4)]]})
+        assert P.scale == 12 and list(P.res[(frozenset({0}),
+                                             frozenset({0, 1}))]) == [[6, -8]]
+        text = render_presheaf_text(P)
+        assert "1/2 -2/3" in text and "5/4" in text
+        assert parse_presheaf_text(text) == P
+
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_presheaf_text("dim 0 1\n")
         with pytest.raises(ParseError):
             parse_presheaf_text("cover 1\ndim 0 1\nres 0 0,1\n")
+        with pytest.raises(ParseError):   # a zero denominator
+            parse_presheaf_text("cover 2\ndim 0 1\ndim 1 1\ndim 0,1 1\n"
+                                "res 0 0,1\n1/0\n")
 
 
 class TestLaurentSplit:

@@ -166,6 +166,39 @@ class TestEval:
         assert data["poly"].endswith(" + 79800*T^2 + 400*T + 1")
 
 
+class TestHostileSizes:
+    """Inputs that once ran for seconds or ended in a traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ("group", "pow", "1/2", "100000000", "--group", "posq"),
+        ("group", "pow", "2/3*g^1@1/2<", "20000", "--group", "below:1/2"),
+        ("group", "pow", "3/2", "100000000", "--group", "posq"),
+        ("group", "cmp", "2*g^100000000000000000000@1/2<", "1*g^1@1/2<",
+         "--group", "below:1/2"),
+        ("group", "subgroups", "--group", "lex:100000000"),
+        ("group", "subgroups", "--group", "lex:1000000"),
+        ("eval", "--point", "ball:0,1/3", "--poly", "T^10000", "-p", "3"),
+        ("eval", "--point", "ball:1,1", "--poly", "T^10000", "-p", "3"),
+        ("member", "--point", "below:1/2,1/2", "--subset", "R(T^9000;1)",
+         "-p", "3"),
+        ("eval", "--point", "ball:0,1", "--poly",
+         "(" + "+".join(f"T^{i}" for i in range(1, 4001)) + ")^2", "-p", "5"),
+    ])
+    def test_too_large_within_a_second(self, args):
+        t0 = time.perf_counter()
+        res = run(*args)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr.startswith("error[too-large]")
+
+    def test_sparse_square_within_the_cap(self):
+        # one convolution of 2 x 5001 products, not 5001 x 5001
+        res = run("eval", "--point", "ball:0,1", "--poly", "(T^5000+1)^2",
+                  "-p", "5")
+        assert (res.exit_code, res.stdout) == (0, "1\n")
+
+
 class TestClassify:
     def test_point(self):
         res = run("classify", "--point", "ball:0,1/3", "-p", "5")

@@ -1,11 +1,12 @@
-"""Exact rank of integer matrices, checked against a Fraction oracle."""
+"""The sparse integer Matrix: rank, product, zero test and row view, each
+checked against a dense Fraction oracle."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adicspec.linalg import rank
+from adicspec.linalg import Matrix, mat_mul, rank as sparse_rank
 
 
 def gauss_jordan_rank(matrix) -> int:
@@ -38,6 +39,16 @@ _skinny_matrices = st.tuples(st.integers(0, 14), st.integers(0, 5)).flatmap(
     lambda shape: st.lists(
         st.lists(_entries, min_size=shape[1], max_size=shape[1]),
         min_size=shape[0], max_size=shape[0]))
+
+
+def rank(rows) -> int:
+    return sparse_rank(Matrix.from_rows(rows))
+
+
+def dense_product(a, b, ncols: int):
+    """The product of two dense matrices over Fractions, b of width ncols."""
+    return [[sum((Fraction(x) * b[j][c] for j, x in enumerate(row)),
+                 Fraction(0)) for c in range(ncols)] for row in a]
 
 
 def transpose(matrix):
@@ -84,3 +95,58 @@ class TestRank:
         permuted = list(m)
         rng.shuffle(permuted)
         assert rank(permuted) == r
+
+
+# a k x m and an m x l matrix, shapes 0 to 6 with zero rows and columns
+_products = st.tuples(st.integers(0, 6), st.integers(0, 6),
+                      st.integers(0, 6)).flatmap(lambda kml: st.tuples(
+                          st.lists(st.lists(_entries, min_size=kml[1],
+                                            max_size=kml[1]),
+                                   min_size=kml[0], max_size=kml[0]),
+                          st.lists(st.lists(_entries, min_size=kml[2],
+                                            max_size=kml[2]),
+                                   min_size=kml[1], max_size=kml[1]),
+                          st.just(kml)))
+
+
+class TestMatrix:
+    @settings(max_examples=100)
+    @given(_products)
+    def test_product_and_zero_test_match_dense_oracle(self, case):
+        a, b, (k, m, l) = case
+        A = Matrix.from_rows(a, m)
+        product = mat_mul(A, Matrix.from_rows(b, l))
+        assert (len(product), product.ncols) == (k, l)
+        assert all(all(row.values()) for row in product.rows)
+        dense = dense_product(a, b, l)
+        assert list(product) == dense
+        assert product.is_zero() == all(x == 0 for row in dense for x in row)
+        assert A.is_zero() == all(x == 0 for row in a for x in row)
+
+    @settings(max_examples=60)
+    @given(_matrices)
+    def test_rank_of_gram_matrix_is_the_rank(self, m):
+        t = transpose(m)
+        M, T = Matrix.from_rows(m), Matrix.from_rows(t, len(m))
+        r = sparse_rank(M)
+        assert sparse_rank(mat_mul(M, T)) == r == gauss_jordan_rank(m)
+
+    @_settings
+    @given(_matrices)
+    def test_row_view_is_what_layertrace_reads(self, m):
+        # benchmark/layertrace.py reads rank's argument as rows: it counts
+        # len(m) * len(m[0]) entries (none for a falsy m) and the nonzero
+        # x in every row of the iteration
+        M = Matrix.from_rows(m)
+        assert len(M) == len(m) and bool(M) == bool(m)
+        assert [M[i] for i in range(len(m))] == list(M) == m
+        entries = len(M) * len(M[0]) if M else 0
+        nonzeros = sum(1 for row in M for x in row if x != 0)
+        assert entries == sum(len(row) for row in m)
+        assert nonzeros == sum(len(row) for row in M.rows)
+
+    def test_shape_without_rows(self):
+        M = Matrix.from_rows([], 3)
+        assert (len(M), M.ncols, list(M)) == (0, 3, [])
+        assert M.is_zero() and sparse_rank(M) == 0
+        assert mat_mul(Matrix.from_rows([[], []]), M) == Matrix([{}, {}], 3)

@@ -16,8 +16,11 @@ from adicspec.errors import (
     MismatchedGroups,
     NotConvexSubgroupOfValueGroup,
     ParseError,
+    TooLarge,
 )
 from adicspec.ordgroup import (
+    MAX_ELEMENT_BITS,
+    MAX_LEX_ARITY,
     ConvexSubgroup,
     GroupElement,
     convex_subgroup_generated,
@@ -415,3 +418,35 @@ class TestRendering:
     def test_parse_error(self):
         with pytest.raises(ParseError):
             parse_element(lex_group(2), "nonsense")
+
+
+class TestSizeGuards:
+    def test_lex_arity_cap(self):
+        assert height(lex_group(MAX_LEX_ARITY)) == MAX_LEX_ARITY
+        with pytest.raises(TooLarge):
+            lex_group(MAX_LEX_ARITY + 1)
+
+    def test_power_cap_counts_bits_not_the_exponent(self):
+        two = pos_element(2)
+        assert group_pow(two, MAX_ELEMENT_BITS) == \
+            pos_element(2 ** MAX_ELEMENT_BITS)
+        with pytest.raises(TooLarge):
+            group_pow(two, MAX_ELEMENT_BITS + 1)
+        with pytest.raises(TooLarge):
+            group_pow(pos_element(Fraction(2, 3)), -MAX_ELEMENT_BITS - 1)
+        # 1 has no bits to grow
+        assert group_pow(pos_element(1), 10 ** 30) == pos_element(1)
+
+    def test_parsed_radius_exponent_cap(self):
+        # comparisons fold q*g^k to q*r^k, here 2^-k
+        G, k = radius_below_group(Fraction(1, 2)), MAX_ELEMENT_BITS
+        assert parse_element(G, f"1*g^{k}@1/2<") == radius_element(G, 1, k)
+        with pytest.raises(TooLarge):
+            parse_element(G, f"1*g^{k + 1}@1/2<")
+        G = radius_below_group(1)
+        assert parse_element(G, f"1*g^{10 ** 20}@1<") == \
+            radius_element(G, 1, 10 ** 20)
+
+    def test_render_refuses_what_str_cannot_print(self):
+        with pytest.raises(TooLarge):
+            render_element(pos_element(Fraction(1, 3 ** 20000)))

@@ -3,6 +3,7 @@ plain degree -> Fraction dict arithmetic, the Taylor shift against the
 binomial formula, the p-adic absolute value, the Gauss norm and Newton
 slopes read off the normal form, and the text form."""
 
+import time
 from fractions import Fraction
 from math import comb, gcd
 
@@ -251,6 +252,24 @@ class TestTaylorShift:
     def test_evaluates_at_shifted_argument(self, f, c, y):
         f = poly(f)
         assert poly_eval(taylor_shift(f, c), y) == poly_eval(f, y + c)
+
+    def test_zero_centre_is_no_shift(self):
+        f = poly({10000: 1, 3: Fraction(-2, 7)})
+        assert taylor_shift(f, 0) is f and taylor_shift(f, Fraction(0)) is f
+
+    @pytest.mark.parametrize("deg,c", [(3000, 1), (10000, 1),
+                                       (9000, Fraction(1, 2)), (800, 10 ** 40)])
+    def test_work_above_the_cap_too_large(self, deg, c):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            taylor_shift(poly({deg: 1, 0: 1}), c)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_work_within_the_cap(self):
+        # (T+1)^400 at c = 1/3: about 4e5 units of work
+        f = polys.poly_pow(poly({1: 1, 0: 1}), 400)
+        assert poly_eval(taylor_shift(f, Fraction(1, 3)), 0) == \
+            Fraction(4, 3) ** 400
 
 
 class TestPadicAbs:
