@@ -4,12 +4,12 @@ A finite presheaf is given by explicit data: a cover size n, a rational
 vector-space dimension for every nonempty subset of cover indices, and a
 restriction matrix for every one-step inclusion of subsets, stored once as
 a sparse integer ``linalg.Matrix`` scaled by the common denominator D of
-all restrictions.  From these the full cochain complex (all index tuples)
-and the alternating subcomplex (strictly increasing tuples) are built as
-sparse integer matrices, D times the true differentials, and cohomology
-dimensions are computed by fraction-free elimination.  The work follows
-the nonzeros: only tuples and faces whose F(U) is nonzero are visited,
-and the d o d = 0 check and the rank read nothing else.
+all restrictions, and checked once, when it is made.  From these the full
+cochain complex (all index tuples) and the alternating subcomplex
+(strictly increasing tuples) are built as sparse integer matrices, D times
+the true differentials, and cohomology dimensions are computed by
+fraction-free elimination.  The work follows the nonzeros: only tuples and
+faces whose F(U) is nonzero are visited, and the rank reads nothing else.
 
 The module also carries the concrete Laurent-cover exactness check: for
 a nonzero polynomial f the two-set cover {|f| <= 1}, {|f| >= 1} has an
@@ -23,7 +23,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .errors import (
     NonFunctorialPresheaf,
@@ -34,7 +34,8 @@ from .errors import (
     ZeroSeries,
 )
 from .linalg import Matrix, mat_mul, rank
-from .polys import Poly, degree, poly, poly_add, poly_const, poly_mul, poly_neg
+from .polys import (Poly, _bits, degree, poly, poly_add, poly_const, poly_mul,
+                    poly_neg)
 from .tate import TateSeries, render_series
 
 
@@ -42,21 +43,81 @@ from .tate import TateSeries, render_series
 # finite presheaves
 # ---------------------------------------------------------------------------
 
-@dataclass
+# the full complex of n sets walks n^(n+1) index tuples: 280k in 0.3 s
+# for n = 6, 5.8 million for n = 7
+MAX_COVER = 6
+# largest estimated work of d^(n-1), the largest differential: its dim C^n
+# rows hold up to n + 1 blocks of at most m entries (m the largest dim
+# F(U_S)), eliminating each costs about m + 64 entry operations with
+# fill-in, and each operation grows with the bytes of the largest entry or
+# scale.  At the cap dense random one-byte restrictions on two sets, the
+# slowest shape measured, take 0.8 s (Python 3.11, shared 2-vCPU host)
+MAX_COMPLEX_WORK = 8 * 10 ** 6
+
+
+@dataclass(frozen=True)
 class FinitePresheaf:
-    """Presheaf on a finite cover, given by explicit matrices.
+    """Presheaf on a finite cover of n sets, given by explicit matrices.
 
     dims maps every nonempty frozenset of indices S to dim F(U_S); res
     maps every one-step pair (S, S') with S' = S + one index to the
     restriction matrix F(U_S) -> F(U_S') times scale, an integer Matrix;
-    scale is the least common denominator D of all restrictions (1 when
-    they are integer).
+    scale is a common denominator D of all restrictions (1 when they are
+    integer).  Construction checks all of this and that every square of
+    restrictions commutes, so the Cech complexes of a presheaf are
+    complexes by the simplicial identities.  Covers of more than MAX_COVER
+    sets and complexes of more than MAX_COMPLEX_WORK raise TooLarge.
     """
 
     n: int
     dims: dict
     scale: int
     res: dict
+
+    def __post_init__(self):
+        n, dims, res, scale = self.n, self.dims, self.res, self.scale
+        if type(n) is not int or n < 1:
+            raise NonFunctorialPresheaf(f"a cover of {n!r} sets")
+        if n > MAX_COVER:
+            raise TooLarge(f"a cover of {n} sets exceeds {MAX_COVER}")
+        indices = frozenset(range(n))
+        if len(dims) != 2 ** n - 1 or not all(
+                type(S) is frozenset and S and S <= indices
+                and type(d) is int and d >= 0 for S, d in dims.items()):
+            raise NonFunctorialPresheaf(f"dims must map the nonempty subsets "
+                                        f"of {set(indices)} to naturals")
+        if type(scale) is not int or scale < 1:
+            raise NonFunctorialPresheaf(f"scale {scale!r} is not >= 1")
+        if res.keys() != set(_one_step_pairs(n)):
+            raise NonFunctorialPresheaf("restrictions must be given for the "
+                                        "one-step inclusions only")
+        for (S, Sp), mat in res.items():
+            if not (isinstance(mat, Matrix) and mat.ncols == dims[S]
+                    and len(mat.rows) == dims[Sp]
+                    and all(type(c) is int and 0 <= c < mat.ncols
+                            and type(x) is int and x
+                            for row in mat.rows for c, x in row.items())):
+                raise NonFunctorialPresheaf(f"restriction {set(S)} -> "
+                                            f"{set(Sp)} is not an integer "
+                                            f"{dims[Sp]} x {dims[S]} Matrix")
+        big = max([scale, *(abs(x) for mat in res.values()
+                            for row in mat.rows for x in row.values())])
+        m = max(dims.values())
+        work = (n + 1) * m * (m + 64) * ((big.bit_length() + 7) // 8) * sum(
+            d * _surjections(n + 1, len(S)) for S, d in dims.items())
+        if work > MAX_COMPLEX_WORK:
+            raise TooLarge(f"a Cech complex of estimated work {work} exceeds "
+                           f"{MAX_COMPLEX_WORK}")
+        # every square commutes, so all chains of restrictions between two
+        # index sets give the same composite
+        for S in _subsets(n):
+            for t, u in combinations(sorted(indices - S), 2):
+                top, St, Su = S | {t, u}, S | {t}, S | {u}
+                if (mat_mul(res[(St, top)], res[(S, St)])
+                        != mat_mul(res[(Su, top)], res[(S, Su)])):
+                    raise NonFunctorialPresheaf(
+                        f"restrictions {set(S)} -> {set(top)} disagree along "
+                        f"different chains")
 
     def dim(self, S) -> int:
         return self.dims[frozenset(S)]
@@ -71,53 +132,33 @@ def _one_step_pairs(n: int) -> list:
     return [(S, S | {t}) for S in _subsets(n) for t in range(n) if t not in S]
 
 
+def _surjections(k: int, s: int) -> int:
+    """The k-tuples of indices from an s-set that use them all."""
+    return sum((-1) ** i * comb(s, i) * (s - i) ** k for i in range(s + 1))
+
+
 def presheaf(n: int, dims: dict, res: dict) -> FinitePresheaf:
-    """Validate dimensions, matrix shapes and functoriality of restrictions
-    given as rows of rationals, and store them scaled to integers."""
-    dims = {frozenset(k): int(v) for k, v in dims.items()}
-    res = {(frozenset(a), frozenset(b)):
+    """The presheaf of these dimensions and one-step restrictions, given as
+    rows of rationals and stored scaled to integers."""
+    dims = {frozenset(S): d for S, d in dims.items()}
+    res = {(frozenset(S), frozenset(Sp)):
            [[x if type(x) is int else Fraction(x) for x in row] for row in m]
-           for (a, b), m in res.items()}
-    for S in _subsets(n):
-        if S not in dims:
-            raise NonFunctorialPresheaf(f"missing dimension for {set(S)}")
-    pairs = _one_step_pairs(n)
-    for S, Sp in pairs:
-        if (S, Sp) not in res:
-            raise NonFunctorialPresheaf(
-                f"missing restriction {set(S)} -> {set(Sp)}")
-        m = res[(S, Sp)]
-        if len(m) != dims[Sp] or any(len(row) != dims[S] for row in m):
-            raise NonFunctorialPresheaf(
-                f"restriction {set(S)} -> {set(Sp)} has wrong shape")
-    for S, Sp in res.keys() - set(pairs):
-        raise NonFunctorialPresheaf(
-            f"restriction {set(S)} -> {set(Sp)} is not a one-step inclusion")
+           for (S, Sp), m in res.items()}
+    # Matrix.from_rows reads the width of the first row
+    if any(len(row) != len(m[0]) for m in res.values() for row in m):
+        raise NonFunctorialPresheaf("a restriction has ragged rows")
     scale = lcm(*[x.denominator for m in res.values() for row in m
                   for x in row])
-    return _functorial(n, dims, scale, {
+    return FinitePresheaf(n, dims, scale, {
         (S, Sp): Matrix.from_rows([[int(x * scale) for x in row] for row in m],
-                                  dims[S]) for (S, Sp), m in res.items()})
-
-
-def _functorial(n: int, dims: dict, scale: int, res: dict) -> FinitePresheaf:
-    """The presheaf, once every square of scaled restrictions commutes, so
-    all chains of them between two index sets give the same composite."""
-    for S in _subsets(n):
-        for t, u in combinations(sorted(set(range(n)) - S), 2):
-            top, St, Su = S | {t, u}, S | {t}, S | {u}
-            if (mat_mul(res[(St, top)], res[(S, St)])
-                    != mat_mul(res[(Su, top)], res[(S, Su)])):
-                raise NonFunctorialPresheaf(
-                    f"restrictions {set(S)} -> {set(top)} disagree along "
-                    f"different chains")
-    return FinitePresheaf(n, dims, scale, res)
+                                  dims.get(S, 0))
+        for (S, Sp), m in res.items()})
 
 
 def constant_presheaf(n: int, dim: int) -> FinitePresheaf:
     eye = Matrix([{i: 1} for i in range(dim)], dim)
-    return _functorial(n, {S: dim for S in _subsets(n)}, 1,
-                       {pair: eye for pair in _one_step_pairs(n)})
+    return FinitePresheaf(n, {S: dim for S in _subsets(n)}, 1,
+                          {pair: eye for pair in _one_step_pairs(n)})
 
 
 def function_presheaf(n: int, point_sets) -> FinitePresheaf:
@@ -133,7 +174,7 @@ def function_presheaf(n: int, point_sets) -> FinitePresheaf:
     dims = {S: len(carriers[S]) for S in _subsets(n)}
     res = {(S, Sp): Matrix([{carriers[S].index(p): 1} for p in carriers[Sp]],
                            dims[S]) for S, Sp in _one_step_pairs(n)}
-    return _functorial(n, dims, 1, res)
+    return FinitePresheaf(n, dims, 1, res)
 
 
 def _unimodular_pair(rng, d: int):
@@ -162,7 +203,7 @@ def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
     basis = {S: _unimodular_pair(rng, base.dims[S]) for S in _subsets(n)}
     res = {(S, Sp): mat_mul(basis[Sp][0], mat_mul(m, basis[S][1]))
            for (S, Sp), m in base.res.items()}
-    return _functorial(n, base.dims, 1, res)
+    return FinitePresheaf(n, base.dims, 1, res)
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +213,23 @@ def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
 @dataclass(frozen=True)
 class CechComplex:
     """Spaces C^0..C^qmax (plus the buffer dimension of C^{qmax+1}) and
-    differentials d^q: C^q -> C^{q+1} for q = 0..qmax.  Construction
-    checks that every d^{q+1} o d^q is defined and vanishes."""
+    differentials d^q: C^q -> C^{q+1} for q = 0..qmax.  The complexes
+    built from a presheaf are complexes by theorem; cech_complex checks
+    differentials given by hand."""
 
     spaces: tuple          # dims of C^0 .. C^qmax
     buffer_dim: int        # dim of C^{qmax+1}
     diffs: tuple           # d^0 .. d^qmax as integer Matrices
 
-    def __post_init__(self):
-        for q, (d_prev, d_next) in enumerate(zip(self.diffs, self.diffs[1:])):
-            if (d_next.ncols != len(d_prev.rows)
-                    or not mat_mul(d_next, d_prev).is_zero()):
-                raise NotAComplex(f"d^{q + 1} o d^{q} != 0")
 
-
-def tuple_sign(t) -> int:
-    """0 for tuples with a repeated index, otherwise the parity sign of
-    the permutation sorting the tuple."""
-    if len(set(t)) < len(t):
-        return 0
-    inversions = sum(1 for a, b in combinations(t, 2) if a > b)
-    return -1 if inversions % 2 else 1
+def cech_complex(spaces: tuple, buffer_dim: int, diffs: tuple) -> CechComplex:
+    """The complex of these differentials, once every d^{q+1} o d^q is
+    defined and vanishes."""
+    for q, (d_prev, d_next) in enumerate(zip(diffs, diffs[1:])):
+        if (d_next.ncols != len(d_prev.rows)
+                or not mat_mul(d_next, d_prev).is_zero()):
+            raise NotAComplex(f"d^{q + 1} o d^{q} != 0")
+    return CechComplex(spaces, buffer_dim, diffs)
 
 
 def _differential(P: FinitePresheaf, q: int, alternating: bool):
@@ -247,12 +284,12 @@ def _differential(P: FinitePresheaf, q: int, alternating: bool):
 
 def _build(P: FinitePresheaf, alternating: bool) -> CechComplex:
     diffs, spaces, dims = zip(*[_differential(P, q, alternating)
-                                for q in range(max(P.n - 1, 0) + 1)])
+                                for q in range(P.n)])
     return CechComplex(spaces, dims[-1], diffs)
 
 
 def build_complex(P: FinitePresheaf) -> CechComplex:
-    """Full cochain complex over all index tuples, degrees 0..max(n-1, 0)."""
+    """Full cochain complex over all index tuples, degrees 0..n-1."""
     return _build(P, alternating=False)
 
 
@@ -271,11 +308,24 @@ def cohomology(C: CechComplex):
 # presheaf text format
 # ---------------------------------------------------------------------------
 
-def _parse_index_set(token: str) -> frozenset:
+def _parse_int(token: str, what: str) -> int:
     try:
-        return frozenset(map(int, token.split(",")))
+        return int(token)
     except ValueError as exc:
-        raise ParseError(f"bad index set {token!r}") from exc
+        raise ParseError(f"bad {what} {token!r}") from exc
+
+
+def _parse_index_set(token: str) -> frozenset:
+    return frozenset([_parse_int(t, "index") for t in token.split(",")])
+
+
+def _parse_fraction(token: str) -> Fraction:
+    """a/b with integers a and b, the one form of a matrix entry besides an
+    integer: no decimal point or exponent, whose expansion is unbounded."""
+    num, slash, den = token.partition("/")
+    if not (slash and num.removeprefix("-").isdecimal() and den.isdecimal()):
+        raise ParseError(f"bad matrix entry {token!r}")
+    return Fraction(int(num), int(den))
 
 
 def parse_presheaf_text(text: str) -> FinitePresheaf:
@@ -284,16 +334,15 @@ def parse_presheaf_text(text: str) -> FinitePresheaf:
         cover <n>
         dim <i0,..,ik> <dimension>          one line per nonempty subset
         res <S> <S'>                        one block per one-step pair
-        <row of rationals "a/b" separated by spaces>  (dim(S') rows)
+        <row of integers or fractions "a/b" separated by spaces>
+                                            (dim(S') rows)
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("cover "):
-        raise ParseError("presheaf file must start with 'cover <n>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError("bad cover size") from exc
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "cover":
+        raise ParseError("presheaf text must start with 'cover <n>'")
+    n = _parse_int(head[1], "cover size")
     dims = {}
     res = {}
     i = 1
@@ -302,7 +351,8 @@ def parse_presheaf_text(text: str) -> FinitePresheaf:
         if parts[0] == "dim":
             if len(parts) != 3:
                 raise ParseError(f"bad dim line {lines[i]!r}")
-            dims[_parse_index_set(parts[1])] = int(parts[2])
+            dims[_parse_index_set(parts[1])] = _parse_int(parts[2],
+                                                          "dimension")
             i += 1
         elif parts[0] == "res":
             if len(parts) != 3:
@@ -317,7 +367,8 @@ def parse_presheaf_text(text: str) -> FinitePresheaf:
                     raise ParseError("truncated restriction matrix")
                 try:    # int tokens, the common case, need no Fraction
                     rows.append([int(t) if t.lstrip("-").isdecimal()
-                                 else Fraction(t) for t in lines[i].split()])
+                                 else _parse_fraction(t)
+                                 for t in lines[i].split()])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad matrix row {lines[i]!r}") from exc
             res[(S, Sp)] = rows
@@ -474,6 +525,11 @@ class ExactnessReport:
 # lambda has 2N + 2 nonzero entries; check 3's Laurent products, linear in
 # N, set the cost: N = 1000 takes 0.6 to 0.8 s in a fresh process
 MAX_WINDOW = 1000
+# largest estimated work of check 3, N * (deg f + 1) * coefficient bits,
+# the bits rounded up to whole 64-bit words: at this cap the slowest shape
+# measured, a dense f of degree 6 at N = 1000, takes about 0.9 s (Python
+# 3.11, shared 2-vCPU host)
+MAX_LAURENT_WORK = 5 * 10 ** 5
 
 
 def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
@@ -488,7 +544,8 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
         (f - z) * z^{-m} = -(1 - f*eta) * eta^{m-1}   (eta = 1/z)
     holds exactly, so every (f - z)-multiple in the window has an
     explicit preimage under the restricted map lambda'; random multiples
-    are decomposed and re-checked.  N above MAX_WINDOW raises TooLarge.
+    are decomposed and re-checked.  N above MAX_WINDOW, or a window
+    whose estimated work is above MAX_LAURENT_WORK, raises TooLarge.
     """
     if N > MAX_WINDOW:
         raise TooLarge(f"window N = {N} exceeds {MAX_WINDOW}")
@@ -498,6 +555,10 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     deg_f = degree(fpoly)
     if N < deg_f + 2:
         raise TruncationTooSmall(f"need N >= deg(f) + 2 = {deg_f + 2}")
+    work = N * (deg_f + 1) * 64 * (_bits(fpoly) // 64 + 1)
+    if work > MAX_LAURENT_WORK:
+        raise TooLarge(f"window N = {N} for f of degree {deg_f} has "
+                       f"estimated work {work}, more than {MAX_LAURENT_WORK}")
 
     # lambda over the monomial basis: column j is the image z^j of
     # (z^j, 0) and column N + 1 + j the image -z^{-j} of (0, eta^j), for

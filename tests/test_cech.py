@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -11,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adicspec import cech
 from adicspec.cech import (
-    CechComplex,
+    MAX_COMPLEX_WORK,
+    FinitePresheaf,
     _differential,
     alternating_subcomplex,
     build_complex,
+    cech_complex,
     check_laurent_exactness,
     cohomology,
     constant_presheaf,
@@ -30,9 +34,9 @@ from adicspec.cech import (
     presheaf,
     random_presheaf,
     render_presheaf_text,
-    tuple_sign,
 )
 from adicspec.errors import (
+    AdicError,
     NonFunctorialPresheaf,
     NotAComplex,
     ParseError,
@@ -40,7 +44,7 @@ from adicspec.errors import (
     TruncationTooSmall,
     ZeroSeries,
 )
-from adicspec.linalg import Matrix
+from adicspec.linalg import Matrix, mat_mul
 from adicspec.tate import parse_series, series
 
 
@@ -103,6 +107,40 @@ class TestBuildComplex:
                 assert all(all(row.values()) for row in matrix.rows)
                 assert (list(matrix), src_dim, dst_dim) == \
                     dense_differential(P, q, alternating)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 4), st.integers(1, 3), st.randoms(),
+           st.sampled_from([Fraction(1), Fraction(-3, 2)]))
+    def test_d_squared_vanishes(self, n, universe, rng, c):
+        # the simplicial identity that makes the built complexes complexes;
+        # the library does not check it, so the test does
+        base = random_presheaf(rng, n, min(universe, 2) if n == 4
+                               else universe)
+        P = presheaf(n, base.dims,
+                     {key: [[c * x for x in row] for row in m]
+                      for key, m in base.res.items()})
+        for C in (build_complex(P), alternating_subcomplex(P)):
+            sizes = C.spaces + (C.buffer_dim,)
+            for q, d in enumerate(C.diffs):
+                assert (len(d.rows), d.ncols) == (sizes[q + 1], sizes[q])
+            for d_prev, d_next in zip(C.diffs, C.diffs[1:]):
+                assert mat_mul(d_next, d_prev).is_zero()
+
+    def test_built_complexes_run_no_product(self, monkeypatch):
+        P = random_presheaf(random.Random(3), 4, 2)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(cech, "mat_mul", counted)
+        for make in (build_complex, alternating_subcomplex):
+            assert len(make(P).diffs) == 4
+        assert calls == []
+        cech_complex((1, 1), 1, (Matrix.from_rows([[1]]),
+                                 Matrix.from_rows([[0]])))
+        assert calls == [1]
 
     def test_trivial_cover(self):
         P = constant_presheaf(1, 1)
@@ -184,10 +222,10 @@ class TestBuildComplex:
     def test_hand_built_complex_is_checked(self):
         # d^0 = (1), d^1 = (1): d^1 o d^0 != 0
         with pytest.raises(NotAComplex):
-            CechComplex((1, 1), 1, (Matrix.from_rows([[1]]),
-                                    Matrix.from_rows([[1]])))
-        assert CechComplex((1, 1), 1, (Matrix.from_rows([[1]]),
-                                       Matrix.from_rows([[0]]))).buffer_dim \
+            cech_complex((1, 1), 1, (Matrix.from_rows([[1]]),
+                                     Matrix.from_rows([[1]])))
+        assert cech_complex((1, 1), 1, (Matrix.from_rows([[1]]),
+                                        Matrix.from_rows([[0]]))).buffer_dim \
             == 1
 
     def test_hand_built_product_with_one_nonzero_entry_is_checked(self):
@@ -196,19 +234,19 @@ class TestBuildComplex:
         # leave -1
         d0 = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [1, 0, 1]])
         with pytest.raises(NotAComplex):
-            CechComplex((3, 3), 2,
-                        (d0, Matrix.from_rows([[0, 0, 0], [1, 5, -1]])))
+            cech_complex((3, 3), 2,
+                         (d0, Matrix.from_rows([[0, 0, 0], [1, 5, -1]])))
         # here the nonzero terms cancel: 1 * (1, 0, 0) - 1 * (1, 0, 0)
         d0 = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [1, 0, 0]])
-        assert CechComplex(
+        assert cech_complex(
             (3, 3), 2, (d0, Matrix.from_rows([[1, 7, -1], [0, 0, 0]]))
         ).spaces == (3, 3)
 
     def test_hand_built_differentials_must_compose(self):
         # d^1 has 3 columns, d^0 only 2 rows
         with pytest.raises(NotAComplex):
-            CechComplex((1, 2), 1, (Matrix.from_rows([[0], [0]]),
-                                    Matrix.from_rows([[0, 0, 0]])))
+            cech_complex((1, 2), 1, (Matrix.from_rows([[0], [0]]),
+                                     Matrix.from_rows([[0, 0, 0]])))
 
     def test_restriction_that_is_not_one_step_rejected(self):
         P = constant_presheaf(3, 1)
@@ -216,6 +254,72 @@ class TestBuildComplex:
         res[(frozenset({0}), frozenset({0, 1, 2}))] = [[1]]
         with pytest.raises(NonFunctorialPresheaf):
             presheaf(3, P.dims, res)
+
+
+class TestPresheafDoor:
+    """A FinitePresheaf is checked when it is made, however it is built."""
+
+    def test_direct_construction_with_broken_square(self):
+        P = constant_presheaf(3, 1)
+        res = {**P.res,
+               (frozenset({0, 1}), frozenset({0, 1, 2})): Matrix([{0: 2}], 1)}
+        with pytest.raises(NonFunctorialPresheaf):
+            FinitePresheaf(3, P.dims, 1, res)
+
+    def test_direct_construction_checks_every_entry(self):
+        P = constant_presheaf(2, 1)
+        key = (frozenset({0}), frozenset({0, 1}))
+        for bad in (Matrix([{1: 1}], 1),          # outside the columns
+                    Matrix([{0: 0}], 1),          # a stored zero
+                    Matrix([{0: Fraction(1, 2)}], 1),
+                    Matrix([{0: 1}, {0: 1}], 1),  # two rows for dim 1
+                    [[1]]):
+            with pytest.raises(NonFunctorialPresheaf):
+                FinitePresheaf(2, P.dims, 1, {**P.res, key: bad})
+        for scale in (0, -1, Fraction(1)):
+            with pytest.raises(NonFunctorialPresheaf):
+                FinitePresheaf(2, P.dims, scale, P.res)
+
+    def test_dimensions_are_given_for_exactly_the_index_sets(self):
+        P = constant_presheaf(2, 1)
+        one, two, both = frozenset({0}), frozenset({1}), frozenset({0, 1})
+        for dims in ({one: 1, two: 1},
+                     {one: 1, two: 1, both: 1, frozenset({2}): 1},
+                     {one: 1, two: 1, frozenset({0, 2}): 1},
+                     {one: 1, two: 1, (0, 1): 1},
+                     {one: 1, two: 1, both: -1},
+                     {one: 1, two: 1, both: Fraction(1)}):
+            with pytest.raises(NonFunctorialPresheaf):
+                FinitePresheaf(2, dims, 1, P.res)
+        for n in (0, -1, 2.0):
+            with pytest.raises(NonFunctorialPresheaf):
+                FinitePresheaf(n, P.dims, 1, P.res)
+
+    def test_hostile_sizes_refused_before_listing(self):
+        for text in ("cover 26\ndim 0 1\n", "cover 1\ndim 0 100000000\n",
+                     "cover 1000000000000\n"):
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge):
+                parse_presheaf_text(text)
+            assert time.perf_counter() - t0 < 1
+        with pytest.raises(TooLarge):
+            constant_presheaf(7, 0)
+
+    def test_complex_work_cap(self):
+        # one set of dimension m costs 2 * m * (m + 64) * m: C^1 has m rows
+        # of two blocks, each m wide, and every entry fits in a byte
+        assert 2 * 140 * 204 * 140 <= MAX_COMPLEX_WORK < 2 * 141 * 205 * 141
+        assert cohomology(build_complex(constant_presheaf(1, 140))) == [140]
+        with pytest.raises(TooLarge):
+            constant_presheaf(1, 141)
+        # an entry, or the scale, of two bytes doubles the work: 2 * 110 *
+        # 174 * 110 is inside the cap, twice that is not
+        dims = {frozenset({0}): 110}
+        assert FinitePresheaf(1, dims, 255, {}).scale == 255
+        with pytest.raises(TooLarge):
+            FinitePresheaf(1, dims, 256, {})
+        assert cohomology(build_complex(constant_presheaf(4, 4))) == \
+            [4, 0, 0, 0]
 
 
 class TestAlternating:
@@ -227,12 +331,6 @@ class TestAlternating:
     def test_three_set_counts(self):
         C = alternating_subcomplex(constant_presheaf(3, 1))
         assert C.spaces == (3, 3, 1)   # C^1 has one block per increasing pair
-
-    def test_sign_of_transposition(self):
-        assert tuple_sign((0, 1)) == 1
-        assert tuple_sign((1, 0)) == -1
-        assert tuple_sign((0, 0)) == 0
-        assert tuple_sign((2, 0, 1)) == 1
 
     def test_quasi_isomorphism_three_sets(self):
         rng = random.Random(5)
@@ -288,6 +386,91 @@ class TestPresheafText:
         with pytest.raises(ParseError):   # a zero denominator
             parse_presheaf_text("cover 2\ndim 0 1\ndim 1 1\ndim 0,1 1\n"
                                 "res 0 0,1\n1/0\n")
+
+    @pytest.mark.parametrize("text, error", [
+        ("cover 1\ndim 0 x\n", ParseError),
+        ("cover 1 2\ndim 0 1\n", ParseError),
+        ("cover x\n", ParseError),
+        ("cover 2\ndim 0 1\ndim 1 1\ndim 0,1 1\nres 0 0,1\n1e-9999999\n",
+         ParseError),
+        ("cover 2\ndim 0 1\ndim 1 1\ndim 0,1 1\nres 0 0,1\n1.5\n",
+         ParseError),
+        ("cover 1\ndim 5 1\n", NonFunctorialPresheaf),
+        ("cover 1\ndim 0 -2\n", NonFunctorialPresheaf),
+        ("cover -1\n", NonFunctorialPresheaf),
+        ("cover 0\n", NonFunctorialPresheaf),
+    ], ids=["dim-not-a-number", "stray-token", "cover-not-a-number",
+            "exponent-entry", "decimal-entry", "index-out-of-range",
+            "negative-dim", "negative-cover", "empty-cover"])
+    def test_malformed_text_raises_a_typed_error(self, text, error):
+        t0 = time.perf_counter()
+        with pytest.raises(error):
+            parse_presheaf_text(text)
+        assert time.perf_counter() - t0 < 1
+
+
+# garbage and hostile presheaf texts: valid texts with lines or single
+# tokens replaced, inserted or deleted, and lines of directives with
+# random tokens, oversized and malformed numbers among them
+_hostile_tokens = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from(["0,1", "1,0", "0,1,2", "0,1,2,3,4,5,6", ",", "1/2",
+                     "-3/4", "1/0", "1e-9999999", "1.5", "--2", "1_0", "x",
+                     "9" * 5000, str(10 ** 8), str(2 ** 64), "26"]),
+    st.text(min_size=1, max_size=5))
+_hostile_lines = st.one_of(
+    st.tuples(st.sampled_from(["cover", "dim", "res"]),
+              st.lists(_hostile_tokens, max_size=3))
+    .map(lambda t: " ".join([t[0], *t[1]])),
+    st.lists(_hostile_tokens, min_size=1, max_size=4).map(" ".join),
+    st.text(max_size=12))
+
+
+@st.composite
+def _mutated_texts(draw):
+    P = random_presheaf(random.Random(draw(st.integers(0, 99))),
+                        draw(st.integers(1, 3)))
+    lines = render_presheaf_text(P).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        edit = draw(st.sampled_from(["token", "token", "cover", "line",
+                                     "insert", "delete"]))
+        if edit == "cover":
+            lines[0] = f"cover {draw(_hostile_tokens)}"
+        elif edit == "token":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = \
+                draw(_hostile_tokens)
+            lines[i] = " ".join(tokens)
+        elif edit == "line":
+            lines[i] = draw(_hostile_lines)
+        elif edit == "insert":
+            lines.insert(i, draw(_hostile_lines))
+        elif i:
+            del lines[i]
+    return "\n".join(lines)
+
+
+_hostile_texts = st.one_of(
+    _mutated_texts(),
+    st.builds(lambda n, lines: "\n".join([f"cover {n}", *lines]),
+              _hostile_tokens, st.lists(_hostile_lines, max_size=6)),
+    st.builds("cover {}\ndim 0 {}\n".format, _hostile_tokens,
+              _hostile_tokens))
+
+
+class TestPresheafTextFuzz:
+    @settings(max_examples=300)
+    @given(_hostile_texts)
+    def test_only_typed_errors_and_fast(self, text):
+        t0 = time.perf_counter()
+        try:
+            P = parse_presheaf_text(text)
+            assert cohomology(build_complex(P)) == \
+                cohomology(alternating_subcomplex(P))
+        except AdicError:
+            pass
+        assert time.perf_counter() - t0 < 1
 
 
 class TestLaurentSplit:
@@ -392,6 +575,18 @@ class TestLaurentExactness:
         with pytest.raises(TooLarge) as exc:
             check_laurent_exactness(parse_series("T^2-5", 5), 1001)
         assert exc.value.code == "too-large"
+
+    def test_window_priced_by_degree_and_bits(self):
+        # N * (deg f + 1) * coefficient bits in whole words: (T+1)^7 is
+        # 1000 * 8 * 64 at N = 1000, and 10^60 * T + 1, with 200-bit
+        # coefficients, 1000 * 2 * 256
+        for text in ("(T+1)^900", "(T+1)^300", "(T+1)^7", f"{10 ** 60}*T+1"):
+            f = parse_series(text, 5)
+            t0 = time.perf_counter()
+            with pytest.raises(TooLarge):
+                check_laurent_exactness(f, 1000)
+            assert time.perf_counter() - t0 < 1
+        assert check_laurent_exactness(parse_series("T^2-5", 5), 1000).exact
 
     @pytest.mark.parametrize(
         "case", json.loads((Path(__file__).parent / "data"

@@ -299,6 +299,14 @@ class TestCechLaurent:
         assert "error[too-large]" in res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    def test_window_priced_by_degree(self):
+        # N = 1000 is allowed, but not with a degree-900 f: 8 s of work
+        t0 = time.perf_counter()
+        res = run("cech-laurent", "--f", "(T+1)^900", "-N", "1000", "-p", "5")
+        assert time.perf_counter() - t0 < 1
+        assert res.exit_code == 1
+        assert "error[too-large]" in res.output
+
 
 class TestGroup:
     def test_mul(self):
