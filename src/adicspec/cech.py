@@ -76,16 +76,8 @@ class FinitePresheaf:
 
     def __post_init__(self):
         n, dims, res, scale = self.n, self.dims, self.res, self.scale
-        if type(n) is not int or n < 1:
-            raise NonFunctorialPresheaf(f"a cover of {n!r} sets")
-        if n > MAX_COVER:
-            raise TooLarge(f"a cover of {n} sets exceeds {MAX_COVER}")
+        price = _dims_price(n, dims)
         indices = frozenset(range(n))
-        if len(dims) != 2 ** n - 1 or not all(
-                type(S) is frozenset and S and S <= indices
-                and type(d) is int and d >= 0 for S, d in dims.items()):
-            raise NonFunctorialPresheaf(f"dims must map the nonempty subsets "
-                                        f"of {set(indices)} to naturals")
         if type(scale) is not int or scale < 1:
             raise NonFunctorialPresheaf(f"scale {scale!r} is not >= 1")
         if res.keys() != set(_one_step_pairs(n)):
@@ -102,9 +94,7 @@ class FinitePresheaf:
                                             f"{dims[Sp]} x {dims[S]} Matrix")
         big = max([scale, *(abs(x) for mat in res.values()
                             for row in mat.rows for x in row.values())])
-        m = max(dims.values())
-        work = (n + 1) * m * (m + 64) * ((big.bit_length() + 7) // 8) * sum(
-            d * _surjections(n + 1, len(S)) for S, d in dims.items())
+        work = price * ((big.bit_length() + 7) // 8)
         if work > MAX_COMPLEX_WORK:
             raise TooLarge(f"a Cech complex of estimated work {work} exceeds "
                            f"{MAX_COMPLEX_WORK}")
@@ -123,6 +113,24 @@ class FinitePresheaf:
         return self.dims[frozenset(S)]
 
 
+def _dims_price(n: int, dims: dict) -> int:
+    """Check n and dims; the MAX_COMPLEX_WORK price of the presheaf per
+    byte of its largest scaled entry or scale."""
+    if type(n) is not int or n < 1:
+        raise NonFunctorialPresheaf(f"a cover of {n!r} sets")
+    if n > MAX_COVER:
+        raise TooLarge(f"a cover of {n} sets exceeds {MAX_COVER}")
+    indices = frozenset(range(n))
+    if len(dims) != 2 ** n - 1 or not all(
+            type(S) is frozenset and S and S <= indices
+            and type(d) is int and d >= 0 for S, d in dims.items()):
+        raise NonFunctorialPresheaf(f"dims must map the nonempty subsets "
+                                    f"of {set(indices)} to naturals")
+    m = max(dims.values())
+    return (n + 1) * m * (m + 64) * sum(
+        d * _surjections(n + 1, len(S)) for S, d in dims.items())
+
+
 def _subsets(n: int) -> list:
     return [frozenset(c) for size in range(1, n + 1)
             for c in combinations(range(n), size)]
@@ -139,18 +147,27 @@ def _surjections(k: int, s: int) -> int:
 
 def presheaf(n: int, dims: dict, res: dict) -> FinitePresheaf:
     """The presheaf of these dimensions and one-step restrictions, given as
-    rows of rationals and stored scaled to integers."""
+    rows of rationals and stored scaled to integers; a common denominator
+    whose bytes alone exceed MAX_COMPLEX_WORK raises TooLarge as it grows."""
     dims = {frozenset(S): d for S, d in dims.items()}
+    price = _dims_price(n, dims)
     res = {(frozenset(S), frozenset(Sp)):
-           [[x if type(x) is int else Fraction(x) for x in row] for row in m]
+           [[x if type(x) in (int, Fraction) else Fraction(x) for x in row]
+            for row in m]
            for (S, Sp), m in res.items()}
     # Matrix.from_rows reads the width of the first row
     if any(len(row) != len(m[0]) for m in res.values() for row in m):
         raise NonFunctorialPresheaf("a restriction has ragged rows")
-    scale = lcm(*[x.denominator for m in res.values() for row in m
-                  for x in row])
+    scale = 1
+    for x in [x for m in res.values() for row in m for x in row]:
+        if scale % x.denominator:
+            scale = lcm(scale, x.denominator)
+            if price * ((scale.bit_length() + 7) // 8) > MAX_COMPLEX_WORK:
+                raise TooLarge(f"a common denominator of {scale.bit_length()}"
+                               f" bits exceeds {MAX_COMPLEX_WORK} units")
     return FinitePresheaf(n, dims, scale, {
-        (S, Sp): Matrix.from_rows([[int(x * scale) for x in row] for row in m],
+        (S, Sp): Matrix.from_rows([[x.numerator * (scale // x.denominator)
+                                    for x in row] for row in m],
                                   dims.get(S, 0))
         for (S, Sp), m in res.items()})
 
@@ -351,8 +368,10 @@ def parse_presheaf_text(text: str) -> FinitePresheaf:
         if parts[0] == "dim":
             if len(parts) != 3:
                 raise ParseError(f"bad dim line {lines[i]!r}")
-            dims[_parse_index_set(parts[1])] = _parse_int(parts[2],
-                                                          "dimension")
+            S = _parse_index_set(parts[1])
+            if S in dims:
+                raise ParseError(f"second dim line for {parts[1]!r}")
+            dims[S] = _parse_int(parts[2], "dimension")
             i += 1
         elif parts[0] == "res":
             if len(parts) != 3:
@@ -360,6 +379,8 @@ def parse_presheaf_text(text: str) -> FinitePresheaf:
             S, Sp = _parse_index_set(parts[1]), _parse_index_set(parts[2])
             if Sp not in dims or S not in dims:
                 raise ParseError(f"res before dim for {lines[i]!r}")
+            if (S, Sp) in res:
+                raise ParseError(f"second res block for {lines[i]!r}")
             rows = []
             for _ in range(dims[Sp]):
                 i += 1

@@ -211,10 +211,14 @@ def group_cmp(a: GroupElement, b: GroupElement) -> int:
         return _cmp(a.payload, b.payload)
     if k is GroupKind.POS_RATIONAL:
         return _cmp(a.payload[0], b.payload[0])
-    r = a.group.r
     qa, ka = a.payload
     qb, kb = b.payload
-    real = _cmp(qa * r ** ka, qb * r ** kb)
+    # q_a r^d against q_b, d = k_a - k_b and r = s/t, in integers
+    s, t, d = a.group.r.numerator, a.group.r.denominator, ka - kb
+    if d < 0:
+        s, t, d = t, s, -d
+    real = _cmp(qa.numerator * qb.denominator * s ** d,
+                qb.numerator * qa.denominator * t ** d)
     if real != 0:
         return real
     if ka == kb:

@@ -258,8 +258,9 @@ def taylor_shift(f: Poly, c) -> Poly:
     algorithms for Taylor shifts", ISSAC 1997): no binomials and no
     rational arithmetic.  A shift whose estimated work is above
     MAX_SHIFT_WORK raises TooLarge before it starts; c = 0 is no shift.
+    The powers of w are running products.
     """
-    if type(c) is not Fraction:    # eval_at passes a Fraction already
+    if type(c) is not Fraction and type(c) is not int:
         c = Fraction(c)
     u, w = c.numerator, c.denominator
     if not f or not u:
@@ -270,11 +271,18 @@ def taylor_shift(f: Poly, c) -> Poly:
     if n * n * (1024 + bits * (1 + ub // 64)) > 1024 * MAX_SHIFT_WORK:
         raise TooLarge(f"Taylor shift of degree {n} by {c} exceeds "
                        f"{MAX_SHIFT_WORK} units of work")
-    e = [x * w ** (n - k) for k, x in enumerate(f.coeffs)]
+    e, wk = list(coeffs), 1
+    for k in range(n - 1, -1, -1):      # F = sum E_k w^(N-k) Y^k
+        wk *= w
+        e[k] *= wk
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             e[j] += u * e[j + 1]
-    return _normal(f.content / w ** n, [x * w ** k for k, x in enumerate(e)])
+    wk = 1
+    for k in range(1, n + 1):
+        wk *= w
+        e[k] *= wk
+    return _normal(f.content / wk, e)
 
 
 def padic_exponent(x, p: int) -> int:

@@ -305,6 +305,21 @@ class TestPresheafDoor:
         with pytest.raises(TooLarge):
             constant_presheaf(7, 0)
 
+    def test_long_denominators_refused_as_the_scale_grows(self):
+        # 48 kB on two sets of dimension 40, every entry 1/<12 digits>: the
+        # first denominator alone puts the complex over the cap
+        rng = random.Random(0)
+        rows = ["\n".join(" ".join(f"1/{rng.randrange(10 ** 11, 10 ** 12)}"
+                                    for _ in range(40)) for _ in range(40))
+                for _ in range(2)]
+        text = (f"cover 2\ndim 0 40\ndim 1 40\ndim 0,1 40\n"
+                f"res 0 0,1\n{rows[0]}\nres 1 0,1\n{rows[1]}\n")
+        assert len(text) > 48000
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            parse_presheaf_text(text)
+        assert time.perf_counter() - t0 < 0.05
+
     def test_complex_work_cap(self):
         # one set of dimension m costs 2 * m * (m + 64) * m: C^1 has m rows
         # of two blocks, each m wide, and every entry fits in a byte
@@ -399,9 +414,13 @@ class TestPresheafText:
         ("cover 1\ndim 0 -2\n", NonFunctorialPresheaf),
         ("cover -1\n", NonFunctorialPresheaf),
         ("cover 0\n", NonFunctorialPresheaf),
+        ("cover 1\ndim 0 1\ndim 0 2\n", ParseError),
+        ("cover 2\ndim 0 1\ndim 1 1\ndim 0,1 1\nres 0 0,1\n1\n"
+         "res 1 0,1\n1\nres 0 0,1\n1\n", ParseError),
     ], ids=["dim-not-a-number", "stray-token", "cover-not-a-number",
             "exponent-entry", "decimal-entry", "index-out-of-range",
-            "negative-dim", "negative-cover", "empty-cover"])
+            "negative-dim", "negative-cover", "empty-cover", "second-dim",
+            "second-res"])
     def test_malformed_text_raises_a_typed_error(self, text, error):
         t0 = time.perf_counter()
         with pytest.raises(error):

@@ -178,7 +178,9 @@ class TestHostileSizes:
         ("group", "subgroups", "--group", "lex:100000000"),
         ("group", "subgroups", "--group", "lex:1000000"),
         ("eval", "--point", "ball:0,1/3", "--poly", "T^10000", "-p", "3"),
-        ("eval", "--point", "ball:1,1", "--poly", "T^10000", "-p", "3"),
+        ("eval", "--point", "ball:1,1/3", "--poly", "T^10000", "-p", "3"),
+        ("eval", "--point", "ball:0,1/" + "5" * 1000, "--poly", "(T+1)^400",
+         "-p", "5"),
         ("member", "--point", "below:1/2,1/2", "--subset", "R(T^9000;1)",
          "-p", "3"),
         ("eval", "--point", "ball:0,1", "--poly",
@@ -191,6 +193,14 @@ class TestHostileSizes:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert (res.exit_code, res.stdout) == (1, "")
         assert res.stderr.startswith("error[too-large]")
+
+    def test_gauss_point_needs_no_shift(self):
+        # the closed disc of radius 1 is centred at 0 as well: no shift
+        t0 = time.perf_counter()
+        res = run("eval", "--point", "ball:1,1", "--poly", "T^10000",
+                  "-p", "3")
+        assert time.perf_counter() - t0 < 1.0
+        assert (res.exit_code, res.stdout) == (0, "1\n")
 
     def test_sparse_square_within_the_cap(self):
         # one convolution of 2 x 5001 products, not 5001 x 5001

@@ -4,7 +4,10 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from functools import reduce
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,7 @@ from adicspec.errors import (
     NotTypeFive,
     NotUnitIdeal,
     ParseError,
+    TooLarge,
 )
 from adicspec.ordgroup import (
     pos_element,
@@ -59,7 +63,7 @@ from adicspec.tate import (
     series_add,
     series_mul,
 )
-from adicspec.value import nonzero, value_cmp, value_le, value_max, value_mul
+from adicspec.value import ZERO, nonzero, value_cmp, value_le, value_max, value_mul
 
 
 def random_series(rng, p, max_deg=8):
@@ -209,6 +213,30 @@ class TestEvaluation:
         with pytest.raises(ContextMismatch):
             eval_at(gauss_point(5), parse_series("T", 2))
 
+    def test_huge_radius_priced_before_any_comparison(self):
+        # (N + 1) * N * b * (1 + b // 64), b the bits of the radius: 2.6e9
+        # with a 300-digit denominator, 2.8e10 with 1000 digits
+        f = parse_series("(T+1)^400", 5)
+        x = ball(5, 0, Fraction(1, int("5" * 300)))
+        assert eval_at(x, f) == nonzero(pos_element(1))
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            eval_at(ball(5, 0, Fraction(1, int("5" * 1000))), f)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_recentred_at_the_smallest_center(self, monkeypatch):
+        # at p = 3, -7/5 = 1 mod 3: D(-7/5, 1/3) = D(1, 1/3), the closed disc
+        # of radius 1 is D(0, 1) and the open one D(1, 1-); modulo 9 the
+        # residue 7 is longer than -7/5, which is kept
+        f = parse_series("(T+1)^3", 3)
+        c, calls, real = Fraction(-7, 5), [], polys.taylor_shift
+        monkeypatch.setattr(polys, "taylor_shift",
+                            lambda g, c: calls.append(c) or real(g, c))
+        for x in (ball(3, c, Fraction(1, 3)), ball(3, c, 1),
+                  type5_below(3, c, 1), ball(3, c, Fraction(1, 9))):
+            eval_at(x, f)
+        assert calls == [1, 0, 1, c]
+
     @pytest.mark.parametrize("x", [
         classical(2, 1), ball(2, 0, Fraction(3, 4)), gauss_point(2),
         type5_below(2, 1, Fraction(1, 2)), type5_above(2, 0, Fraction(1, 4))])
@@ -320,6 +348,123 @@ class TestEvaluationLaws:
         f, g = data.draw(_series(x.ctx.p)), data.draw(_series(x.ctx.p))
         vf, vg = eval_at(x, f), eval_at(x, g)
         assert value_le(eval_at(x, series_add(f, g)), value_max(vf, vg))
+
+
+def _oracle_eval_at(x, f):
+    """eval_at by its definition: f(X + c) at the center c as given, its
+    coefficients from the binomial theorem, and the terms |a_n| r^n as
+    Fractions; g slightly below r takes the least index among the largest
+    terms, above r the greatest."""
+    p = x.ctx.p
+    if x.kind is PointKind.CLASSICAL:
+        v = polys.poly_eval(f.poly, x.center)
+        return ZERO if v == 0 else nonzero(pos_element(polys.padic_abs(v, p)))
+    if f.is_zero():
+        return ZERO
+    coeffs = dict(f.poly.items())
+    shifted = {k: sum(a * comb(n, k) * x.center ** (n - k)
+                      for n, a in coeffs.items() if n >= k)
+               for k in range(max(coeffs) + 1)}
+    terms = {n: polys.padic_abs(a, p) * x.radius ** n
+             for n, a in shifted.items() if a}
+    best = max(terms.values())
+    ties = [n for n, term in terms.items() if term == best]
+    n = ties[-1] if x.kind is PointKind.TYPE5_ABOVE else ties[0]
+    if x.kind is PointKind.BALL:
+        return nonzero(pos_element(best))
+    group = radius_below_group if x.kind is PointKind.TYPE5_BELOW \
+        else radius_above_group
+    return nonzero(radius_element(group(x.radius), polys.padic_abs(
+        shifted[n], p), n))
+
+
+_ORACLE_PRIMES = (2, 3, 5, 7)
+# Hypothesis draws the first kinds most often: the type-5 points, whose tie
+# rules and open discs are the subtle cases, come first
+_ORACLE_KINDS = (PointKind.TYPE5_BELOW, PointKind.TYPE5_ABOVE, PointKind.BALL,
+                 PointKind.CLASSICAL)
+_long = st.integers(-10 ** 40, 10 ** 40)
+
+
+@st.composite
+def _long_points(draw, p, kind):
+    """Points at the prime p with centers of 40-digit numerators and
+    denominators, and radii of up to 40 digits; half the radii are 1 or
+    powers of p, where terms tie."""
+    # digits from a seeded generator: drawn integers cluster at the bounds,
+    # whose low p-adic digits are mostly 0
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    num, den = (rnd.randrange(10 ** 39, 10 ** 40) for _ in range(2))
+    c = Fraction(rnd.choice([-num, num]), den + (den % p == 0)) * p ** (
+        rnd.choice([0, 0, 1, 2]))
+    if kind is PointKind.CLASSICAL:
+        return classical(p, c)
+    r = draw(st.one_of(
+        st.integers(0, 6).map(lambda m: Fraction(1, p ** m)),
+        st.builds(Fraction, st.integers(1, 10 ** 40), st.integers(1, 10 ** 40))
+        .filter(lambda r: r <= 1)).filter(
+            lambda r: r < 1 or kind is not PointKind.TYPE5_ABOVE))
+    return _MAKERS[kind](p, c, r)
+
+
+def _disc_step(x):
+    """p^k for the largest p^-k at most r, or below r for the open disc of
+    a Type5Below point: moving the center by a multiple of p^k keeps the
+    disc.  1 for a classical point."""
+    pk = 1
+    while x.radius and (pk * x.radius < 1 or (
+            x.kind is PointKind.TYPE5_BELOW and pk * x.radius == 1)):
+        pk *= x.ctx.p
+    return pk
+
+
+def _long_series(x):
+    """Polynomials of degree <= 30 at x's prime: long rational
+    coefficients, and small units times powers of p, whose terms often
+    tie, times one or two factors T - a with a just inside or outside x's
+    disc, which tell nearby discs apart."""
+    p = x.ctx.p
+    coefficient = st.one_of(
+        st.builds(Fraction, _long.filter(bool), st.integers(1, 10 ** 40)),
+        st.builds(lambda u, k: u * Fraction(p) ** k,
+                  st.sampled_from([-3, -2, -1, 1, 2, 3, 4, 6]),
+                  st.integers(-3, 3)))
+    root = st.builds(
+        lambda k, m: series(p, {1: 1, 0: -x.center - m * _disc_step(x)
+                                * Fraction(p) ** k}),
+        st.integers(-2, 3), st.integers(-p * p, p * p))
+    return st.builds(lambda coeffs, roots: reduce(series_mul, roots,
+                                                  series(p, coeffs)),
+                     st.dictionaries(st.integers(0, 28), coefficient,
+                                     min_size=1, max_size=12),
+                     st.lists(root, min_size=1, max_size=2))
+
+
+class TestEvaluationOracle:
+    """eval_at recentres in the disc and compares integers; the values
+    are those of the definition."""
+
+    @pytest.mark.parametrize("p", _ORACLE_PRIMES)
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_equals_the_definition(self, p, data):
+        x = data.draw(_long_points(p, data.draw(st.sampled_from(
+            _ORACLE_KINDS))))
+        f = data.draw(_long_series(x))
+        assert eval_at(x, f) == _oracle_eval_at(x, f)
+
+    @pytest.mark.parametrize("p", _ORACLE_PRIMES)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_equal_points_take_equal_values(self, p, data):
+        kind = data.draw(st.sampled_from(_ORACLE_KINDS[:3]))
+        x = data.draw(_long_points(p, kind))
+        den = data.draw(st.integers(1, 10 ** 20).filter(lambda d: d % p))
+        shift = Fraction(data.draw(st.integers(-10 ** 20, 10 ** 20)), den)
+        y = _MAKERS[kind](p, x.center + _disc_step(x) * shift, x.radius)
+        assert point_eq(x, y)
+        f = data.draw(_long_series(x))
+        assert eval_at(x, f) == eval_at(y, f) == _oracle_eval_at(y, f)
 
 
 class TestEquality:

@@ -261,6 +261,44 @@ class TestOrderedGroupAxioms:
             assert group_le(group_mul(a, c), group_mul(b, c))
 
 
+_long_positives = st.builds(Fraction, st.integers(1, 10 ** 30),
+                            st.integers(1, 10 ** 30))
+
+
+@st.composite
+def _radius_pairs(draw):
+    """Two elements of one radius group; half the time the second has the
+    first's folded real part, so the g-exponent breaks the tie."""
+    r = draw(st.one_of(st.just(Fraction(1)), _long_positives.filter(
+        lambda r: r < 1)))
+    group = draw(st.sampled_from([radius_below_group] + (
+        [radius_above_group] if r < 1 else [])))(r)
+    qa, ka, kb = (draw(_long_positives), draw(st.integers(-40, 40)),
+                  draw(st.integers(-40, 40)))
+    qb = draw(st.one_of(_long_positives, st.just(qa * r ** (ka - kb))))
+    return radius_element(group, qa, ka), radius_element(group, qb, kb)
+
+
+class TestRadiusOrderInIntegers:
+    @settings(max_examples=300)
+    @given(_radius_pairs())
+    def test_group_cmp_is_the_fraction_formula(self, ab):
+        # q_a r^(k_a) against q_b r^(k_b) in Fractions, then the g-exponent:
+        # larger is smaller below r and larger above r
+        a, b = ab
+        (qa, ka), (qb, kb), r = a.payload, b.payload, a.group.r
+        real_a, real_b = qa * r ** ka, qb * r ** kb
+        if real_a != real_b:
+            expected = 1 if real_a > real_b else -1
+        elif ka == kb:
+            expected = 0
+        else:
+            below = a.group.kind.name == "RADIUS_BELOW"
+            expected = (1 if ka < kb else -1) if below else \
+                (1 if ka > kb else -1)
+        assert group_cmp(a, b) == expected
+
+
 class TestConvexSubgroups:
     def test_generated_lex(self):
         G = lex_group(3)
