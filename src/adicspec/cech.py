@@ -19,11 +19,11 @@ on the polynomial window of degree <= N.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from random import Random
 
 from .errors import (
     NonFunctorialPresheaf,
@@ -34,8 +34,8 @@ from .errors import (
     ZeroSeries,
 )
 from .linalg import Matrix, mat_mul, rank
-from .polys import (Poly, _bits, degree, poly, poly_add, poly_const, poly_mul,
-                    poly_neg)
+from .polys import (Poly, _bits, degree, parse_rational, poly, poly_add,
+                    poly_const, poly_mul, poly_neg)
 from .tate import TateSeries, render_series
 
 
@@ -194,35 +194,6 @@ def function_presheaf(n: int, point_sets) -> FinitePresheaf:
     return FinitePresheaf(n, dims, 1, res)
 
 
-def _unimodular_pair(rng, d: int):
-    """Random integer matrix with determinant +-1, together with its
-    exact inverse, built from elementary row operations."""
-    M, Minv = ([[int(i == j) for j in range(d)] for i in range(d)]
-               for _ in range(2))
-    for _ in range(2 * d):
-        i, j = rng.randrange(d), rng.randrange(d)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        for col in range(d):
-            M[i][col] += c * M[j][col]
-        for row in range(d):
-            Minv[row][j] -= c * Minv[row][i]
-    return Matrix.from_rows(M, d), Matrix.from_rows(Minv, d)
-
-
-def random_presheaf(rng, n: int, universe: int = 3) -> FinitePresheaf:
-    """Random functorial presheaf: a function presheaf conjugated by
-    random unimodular change-of-basis matrices on every subset."""
-    point_sets = [frozenset(p for p in range(universe) if 10 * rng.random() < 7)
-                  for _ in range(n)]
-    base = function_presheaf(n, point_sets)
-    basis = {S: _unimodular_pair(rng, base.dims[S]) for S in _subsets(n)}
-    res = {(S, Sp): mat_mul(basis[Sp][0], mat_mul(m, basis[S][1]))
-           for (S, Sp), m in base.res.items()}
-    return FinitePresheaf(n, base.dims, 1, res)
-
-
 # ---------------------------------------------------------------------------
 # cochain complexes
 # ---------------------------------------------------------------------------
@@ -249,59 +220,64 @@ def cech_complex(spaces: tuple, buffer_dim: int, diffs: tuple) -> CechComplex:
     return CechComplex(spaces, buffer_dim, diffs)
 
 
-def _differential(P: FinitePresheaf, q: int, alternating: bool):
+def _differential(src: tuple, dst: tuple, res: dict, scale: int, n: int):
     """d^q times the common denominator D of the restrictions, as an
-    integer Matrix.  Each degree's cells are the tuples whose F(U) is
-    nonzero, laid out in lexicographic order, in which each degree's
-    tuples extend those of the degree below; index sets are bit masks.  A
+    integer Matrix, from the layouts (cells, dim) of C^q and C^{q+1}; cells
+    maps the base-n number of each tuple with F(U) nonzero to (tuple,
+    offset, mask, dim F(U)), res a pair of masks to restriction rows.  A
     face sigma of tau spans the same index set (D times the identity) or
-    one index fewer (a one-step restriction).  Dropping either of two
-    equal neighbours of tau gives one face with opposite signs, so such
-    pairs are skipped and every entry is written once."""
-    masks = {frozenset(): 0}
-    for i in range(P.n):
-        masks.update({S | {i}: m | 1 << i for S, m in masks.items()})
-    dims = {masks[S]: d for S, d in P.dims.items()}
-    res = {(masks[S], masks[Sp]): m.rows for (S, Sp), m in P.res.items()}
-    level, layouts = [((), 0)], []
-    for k in range(q + 2):
-        level = [(t + (i,), m | 1 << i) for t, m in level
-                 for i in range(t[-1] + 1 if alternating and t else 0, P.n)]
-        if k >= q:
-            cells, total = {}, 0    # tuple -> (offset, mask, dim F(U))
-            for t, m in level:
-                if dims[m]:
-                    cells[t] = (total, m, dims[m])
-                    total += dims[m]
-            layouts.append((cells, total))
-    (src, src_dim), (dst, dst_dim) = layouts
+    one index fewer (a one-step restriction).  The faces that drop either
+    of two equal neighbours of tau cancel, so they are skipped and every
+    entry is written once."""
+    (src, src_dim), (dst, dst_dim) = src, dst
+    powers = [n ** e for e in range(n + 2)]
     rows = [{} for _ in range(dst_dim)]
-    for tau, (r0, S_tau, dim) in dst.items():
+    for x, (tau, r0, S_tau, dim) in dst.items():
         k, j = len(tau), 0
         while j < k:
             if j + 1 < k and tau[j] == tau[j + 1]:
                 j += 2
                 continue
-            cell = src.get(tau[:j] + tau[j + 1:])
+            low = powers[k - j - 1]    # drop digit j of x
+            cell = src.get(x // (low * n) * low + x % low)
             sign = -1 if j % 2 else 1
             j += 1
             if cell is None:
                 continue
-            c0, S_sigma, _ = cell
+            _, c0, S_sigma, _ = cell
             if S_sigma == S_tau:
                 for r in range(r0, r0 + dim):
-                    rows[r][c0 + r - r0] = sign * P.scale
+                    rows[r][c0 + r - r0] = sign * scale
                 continue
             for target, entries in zip(rows[r0:r0 + dim],
                                        res[(S_sigma, S_tau)]):
-                for c, x in entries.items():
-                    target[c0 + c] = sign * x
+                for c, y in entries.items():
+                    target[c0 + c] = sign * y
     return Matrix(rows, src_dim), src_dim, dst_dim
 
 
 def _build(P: FinitePresheaf, alternating: bool) -> CechComplex:
-    diffs, spaces, dims = zip(*[_differential(P, q, alternating)
-                                for q in range(P.n)])
+    """The complex from one walk over the index tuples: each degree's cells,
+    the tuples with F(U) nonzero in lexicographic order, index the rows of
+    d^{q-1} and the columns of d^q; index sets are bit masks."""
+    n = P.n
+    masks = {frozenset(): 0}
+    for i in range(n):
+        masks.update({S | {i}: m | 1 << i for S, m in masks.items()})
+    dims = {masks[S]: d for S, d in P.dims.items()}
+    res = {(masks[S], masks[Sp]): m.rows for (S, Sp), m in P.res.items()}
+    level, layouts = [((), 0, 0)], []    # (tuple, base-n number, mask)
+    for _ in range(n + 1):
+        level = [(t + (i,), x * n + i, m | 1 << i) for t, x, m in level
+                 for i in range(t[-1] + 1 if alternating and t else 0, n)]
+        cells, total = {}, 0
+        for t, x, m in level:
+            if dims[m]:
+                cells[x] = (t, total, m, dims[m])
+                total += dims[m]
+        layouts.append((cells, total))
+    diffs, spaces, dims = zip(*[_differential(src, dst, res, P.scale, n)
+                                for src, dst in zip(layouts, layouts[1:])])
     return CechComplex(spaces, dims[-1], diffs)
 
 
@@ -316,8 +292,15 @@ def alternating_subcomplex(P: FinitePresheaf) -> CechComplex:
 
 
 def cohomology(C: CechComplex):
-    """Cohomology dimensions in degrees 0..qmax, exactly."""
-    ranks = [0] + [rank(d) for d in C.diffs]    # ranks[q] = rank d^{q-1}
+    """Cohomology dimensions in degrees 0..qmax, exactly.  Needs
+    d^{q+1} o d^q = 0, as every complex from build_complex,
+    alternating_subcomplex or cech_complex has: then the leading index of
+    each reduced column of d^q, a vector in ker d^{q+1}, names a column of
+    d^{q+1} that the columns before it span, left out of its rank."""
+    ranks, leads = [0], set()    # ranks[q] = rank d^{q-1}
+    for d in C.diffs:
+        skip, leads = leads, set()
+        ranks.append(rank(d, skip, leads))
     return [dim - ranks[q + 1] - ranks[q] for q, dim in enumerate(C.spaces)]
 
 
@@ -334,15 +317,6 @@ def _parse_int(token: str, what: str) -> int:
 
 def _parse_index_set(token: str) -> frozenset:
     return frozenset([_parse_int(t, "index") for t in token.split(",")])
-
-
-def _parse_fraction(token: str) -> Fraction:
-    """a/b with integers a and b, the one form of a matrix entry besides an
-    integer: no decimal point or exponent, whose expansion is unbounded."""
-    num, slash, den = token.partition("/")
-    if not (slash and num.removeprefix("-").isdecimal() and den.isdecimal()):
-        raise ParseError(f"bad matrix entry {token!r}")
-    return Fraction(int(num), int(den))
 
 
 def parse_presheaf_text(text: str) -> FinitePresheaf:
@@ -386,12 +360,7 @@ def parse_presheaf_text(text: str) -> FinitePresheaf:
                 i += 1
                 if i >= len(lines):
                     raise ParseError("truncated restriction matrix")
-                try:    # int tokens, the common case, need no Fraction
-                    rows.append([int(t) if t.lstrip("-").isdecimal()
-                                 else _parse_fraction(t)
-                                 for t in lines[i].split()])
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad matrix row {lines[i]!r}") from exc
+                rows.append([parse_rational(t) for t in lines[i].split()])
             res[(S, Sp)] = rows
             i += 1
         else:
@@ -609,7 +578,7 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     # identities make (f - z) * g and (f - 1/eta) * h = -(1 - f*eta) * h/eta
     # a preimage under lambda'; re-apply lambda and compare exactly
     f_minus_inv_eta = laurent_invert_variable(f_minus_z)
-    rng = random.Random(20230 + deg_f)
+    rng = Random(20230 + deg_f)
     preimages = 20
     preimages_ok = True
     for _ in range(preimages):

@@ -17,6 +17,7 @@ import click
 
 from . import __version__, cech, disc, ordgroup, spectral, tate, valuation
 from .errors import AdicError, MalformedElement, NotPrime, ParseError
+from .polys import parse_rational
 from .valuation import RING_Q, RING_Z, BaseRing, finite_field
 
 
@@ -301,9 +302,9 @@ def _parse_group(text: str) -> ordgroup.Group:
         if head == "posq":
             return ordgroup.pos_rational_group()
         if head == "below":
-            return ordgroup.radius_below_group(Fraction(rest))
+            return ordgroup.radius_below_group(parse_rational(rest))
         if head == "above":
-            return ordgroup.radius_above_group(Fraction(rest))
+            return ordgroup.radius_above_group(parse_rational(rest))
     except (ValueError, ZeroDivisionError, MalformedElement) as exc:
         raise ParseError(f"bad group literal {text!r}") from exc
     raise ParseError(f"unknown group literal {text!r}")

@@ -339,10 +339,10 @@ def parse_point(text: str, p: int) -> DiscPoint:
                          "data and are not supported")
     try:
         if head == "classical":
-            return classical(p, Fraction(rest))
+            return classical(p, polys.parse_rational(rest))
         if head in ("ball", "below", "above"):
             c_text, r_text = rest.split(",")
-            c, r = Fraction(c_text), Fraction(r_text)
+            c, r = polys.parse_rational(c_text), polys.parse_rational(r_text)
             if head == "ball":
                 return ball(p, c, r)
             if head == "below":

@@ -4,9 +4,11 @@ A ``Matrix`` is a shape and sparse rows, so every operation costs in
 proportion to the nonzeros: ``mat_mul`` sums products of nonzero entries
 only, and ``rank`` eliminates without fractions on the shorter side of
 the matrix (rank M = rank M^T), dividing each reduced vector by its
-content.  For callers that read rows of numbers, a ``Matrix`` is also a
-read-only sequence of dense rows (``len``, indexing and, through the
-sequence protocol, iteration), a view the library itself never reads.
+content.  It can leave given columns out and report the leading indices
+of the reduced columns, which is how a complex's ranks are cleared.  For
+callers that read rows of numbers, a ``Matrix`` is also a read-only
+sequence of dense rows (``len``, indexing and, through the sequence
+protocol, iteration), a view the library itself never reads.
 """
 
 from __future__ import annotations
@@ -50,18 +52,23 @@ def _primitive(row: dict) -> dict:
     return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
-def rank(matrix: Matrix) -> int:
-    """Rank over Q of an integer matrix, by sparse fraction-free
-    elimination on its shorter side, each vector reduced against the pivot
-    with the same leading index, its largest: on the Cech differentials
-    that leaves a third fewer entries to eliminate than the smallest."""
-    if matrix.ncols < len(matrix.rows):
-        vectors = [{} for _ in range(matrix.ncols)]
+def rank(matrix: Matrix, skip=(), leads=None) -> int:
+    """Rank over Q of an integer matrix without the columns in skip, a set
+    of its column indices, by sparse fraction-free elimination on its
+    shorter side, each vector reduced against the pivot with the same
+    leading index, its largest: on the Cech differentials that leaves a
+    third fewer entries to eliminate than the smallest.  If that side is
+    the columns, their pivots' leading indices are added to the set leads."""
+    if matrix.ncols - len(skip) < len(matrix.rows):
+        vectors = [{} for _ in range(matrix.ncols)]    # reduced in place
         for r, row in enumerate(matrix.rows):
             for c, x in row.items():
                 vectors[c][r] = x
+        vectors = [v for c, v in enumerate(vectors) if c not in skip]
     else:
-        vectors = map(dict, matrix.rows)    # reduced in place below
+        vectors = ({c: x for c, x in row.items() if c not in skip}
+                   for row in matrix.rows)
+        leads = None
     pivots = {}    # leading index -> the pivot vector with that leading index
     for row in vectors:
         row = _primitive(row)
@@ -84,6 +91,8 @@ def rank(matrix: Matrix) -> int:
                 else:
                     del row[c]
             row = _primitive(row)
+    if leads is not None:
+        leads.update(pivots)
     return len(pivots)
 
 

@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
+from .polys import parse_rational
 
 LT, EQ, GT = -1, 0, 1
 
@@ -430,19 +431,19 @@ def parse_element(group: Group, text: str) -> GroupElement:
             if not (text.startswith("(") and text.endswith(")")):
                 raise bad
             parts = text[1:-1].split(",")
-            return lex_element(group, [Fraction(p) for p in parts])
+            return lex_element(group, [parse_rational(p) for p in parts])
         if k is GroupKind.POS_RATIONAL:
-            return pos_element(Fraction(text))
+            return pos_element(parse_rational(text))
         body, radius = text.rsplit("@", 1)
         mark = radius[-1]
         expected = "<" if k is GroupKind.RADIUS_BELOW else ">"
-        if mark != expected or Fraction(radius[:-1]) != group.r:
+        if mark != expected or parse_rational(radius[:-1]) != group.r:
             raise bad
         q, kpart = body.split("*g^")
         kexp = int(kpart)
         # every comparison folds q*g^k to q*r^k
         _check_power_bits(group.r, kexp, "folded real part with")
-        return radius_element(group, Fraction(q), kexp)
+        return radius_element(group, parse_rational(q), kexp)
     except (ValueError, ZeroDivisionError, MalformedElement) as exc:
         raise bad from exc
 

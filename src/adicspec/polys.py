@@ -290,13 +290,26 @@ def padic_exponent(x, p: int) -> int:
     num, den = x.numerator, x.denominator
     if not num:
         raise ZeroValue("p-adic exponent of zero")
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    if p == 2:    # the trailing zero bits
+        return (num & -num).bit_length() - (den & -den).bit_length()
+    v = 0 if num % p else _multiplicity(num, p)    # one small division
+    return v if den % p else v - _multiplicity(den, p)    # in most calls
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """Exponent of p in n, a multiple of p, in O(log v) big divisions: by p,
+    p^2, p^4, ... while they divide, then back down."""
+    v, powers = 0, [p]
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n, v = q, v + (1 << (len(powers) - 1))
+        powers.append(powers[-1] * powers[-1])
+    n = r    # holds the fewer than 2^k factors p left, p^(2^k) failing
+    for k in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[k])
+        n, v = (r, v) if r else (q, v + (1 << k))
     return v
 
 
@@ -427,6 +440,26 @@ def parse_poly(text: str) -> Poly:
     if parser.peek():
         parser.error(f"unexpected token {parser.peek()!r}")
     return result
+
+
+def parse_rational(text: str):
+    """The rational of a literal [-]digits[/digits], the one form of a
+    rational in the text literals, space around it allowed: an int without
+    a denominator, else a Fraction.  Decimals, exponents (whose expansion
+    is unbounded) and zero denominators raise ParseError, a part longer
+    than sys.get_int_max_str_digits() digits TooLarge, naming the literal."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        if text.isascii() and num.removeprefix("-").isdigit() and (
+                den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else int(num)
+    except ValueError:  # above sys.get_int_max_str_digits() digits
+        raise TooLarge(f"rational {text[:40]!r} has more than "
+                       f"{sys.get_int_max_str_digits()} digits")
+    except ZeroDivisionError:
+        pass
+    raise ParseError(f"bad rational {text[:40]!r}: expected [-]digits[/digits]"
+                     f" with a nonzero denominator")
 
 
 def render_poly(f: Poly) -> str:

@@ -455,7 +455,7 @@ def parse_valuation(text: str, ring: BaseRing) -> Valuation:
                 return trivial_valuation(ring, PrimeIdealDescriptor.zero())
             return trivial_valuation(ring, PrimeIdealDescriptor.prime(n))
         if head == "deg":
-            return degree_valuation(Fraction(rest))
+            return degree_valuation(polys.parse_rational(rest))
     except (ValueError, ZeroDivisionError, NotPrime, MalformedValuation) as exc:
         raise ParseError(f"bad valuation literal {text!r}: {exc}") from exc
     raise ParseError(f"unknown valuation literal {text!r}")
@@ -487,9 +487,9 @@ def parse_ideal(text: str, ring: BaseRing) -> IdealOfDefinition:
             gens.append(polys.parse_poly(part))
         else:
             try:
-                gens.append(Fraction(part) if ring.kind is RingKind.RATIONALS_Q
-                            else int(part))
-            except (ValueError, ZeroDivisionError) as exc:
+                gens.append(Fraction(polys.parse_rational(part))
+                            if ring.kind is RingKind.RATIONALS_Q else int(part))
+            except ValueError as exc:
                 raise ParseError(f"bad ideal generator {part!r}") from exc
     return IdealOfDefinition(ring, tuple(gens))
 

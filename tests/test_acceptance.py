@@ -17,7 +17,6 @@ from adicspec.cech import (
     build_complex,
     check_laurent_exactness,
     cohomology,
-    random_presheaf,
 )
 from adicspec.disc import (
     PointType,
@@ -66,6 +65,7 @@ from adicspec.valuation import (
     vertical_quotient,
 )
 from adicspec.value import value_cmp, value_le, value_max, value_mul
+from presheaves import random_presheaf
 
 CRITERIA = {
     1: "Spv enumeration counts, closures and generic point (bounds 5/10/30)",

@@ -209,6 +209,49 @@ class TestHostileSizes:
         assert (res.exit_code, res.stdout) == (0, "1\n")
 
 
+def _rational_slots(x: str):
+    """One command line per slot of the CLI that reads a rational; each
+    exits 0 for x = 1/2."""
+    return [
+        ("eval", "--point", f"classical:{x}", "--poly", "T", "-p", "5"),
+        ("eval", "--point", f"ball:{x},1", "--poly", "T", "-p", "5"),
+        ("member", "--point", f"ball:0,{x}", "--subset", "R(T;1)", "-p", "5"),
+        ("classify", "--point", f"below:1,{x}", "-p", "5"),
+        ("specializes", f"above:{x},1/5", "ball:0,1", "-p", "5"),
+        ("specializes", f"deg:{x}", "deg:1/3"),
+        ("retract", "--valuation", "padic:5", "--ideal", f"({x})",
+         "--ring", "Q"),
+        ("group", "cmp", x, "1", "--group", "posq"),
+        ("group", "cmp", f"({x},1)", "(1,1)", "--group", "lex:2"),
+        ("group", "cmp", f"{x}*g^1@1/2<", "1*g^1@1/2<", "--group", "below:1/2"),
+        ("group", "cmp", f"1*g^1@{x}>", "1*g^1@1/2>", "--group", "above:1/2"),
+        ("group", "height", "--group", f"below:{x}"),
+        ("group", "height", "--group", f"above:{x}"),
+    ]
+
+
+class TestRationalLiterals:
+    """Every rational in a literal is [-]digits[/digits]: exponents and
+    over-long literals end at once with a code, never in Python's text."""
+
+    @pytest.mark.parametrize("args", [
+        args for x in ("1e-99999", "1e-999999", "9" * 5000, "1/" + "7" * 5000)
+        for args in _rational_slots(x)], ids=lambda args: " ".join(
+            a if len(a) < 20 else a[:17] + "..." for a in args))
+    def test_refused_at_once_with_a_code(self, args):
+        t0 = time.perf_counter()
+        res = run(*args)
+        assert time.perf_counter() - t0 < 0.1
+        assert res.exit_code in (1, 2) and res.stdout == ""
+        assert res.stderr.startswith(("error[parse-error]", "error[too-large]"))
+        assert "Exceeds the limit" not in res.stderr
+
+    @pytest.mark.parametrize("args", _rational_slots("1/2")
+                             + _rational_slots(" 1/2 "))
+    def test_plain_rationals_still_read(self, args):
+        assert run(*args).exit_code == 0
+
+
 class TestClassify:
     def test_point(self):
         res = run("classify", "--point", "ball:0,1/3", "-p", "5")

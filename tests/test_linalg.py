@@ -78,6 +78,22 @@ class TestRank:
     def test_tall_and_wide_match_gauss_jordan(self, m):
         assert rank(m) == gauss_jordan_rank(m)
 
+    @settings(max_examples=200)
+    @given(_skinny_matrices, st.sets(st.integers(0, 13), max_size=8))
+    def test_skipped_columns_and_leads(self, m, skip):
+        # leads come only from eliminating columns, which happens when
+        # fewer columns than rows are kept; the rows they name, without
+        # the skipped columns, have full rank
+        ncols = len(m[0]) if m else 0
+        skip = {c for c in skip if c < ncols}
+        kept = [[x for c, x in enumerate(row) if c not in skip] for row in m]
+        leads = set()
+        r = sparse_rank(Matrix.from_rows(m, ncols), skip, leads)
+        assert r == gauss_jordan_rank(kept)
+        assert len(leads) == (r if ncols - len(skip) < len(m) else 0)
+        assert gauss_jordan_rank([kept[i] for i in sorted(leads)]) == \
+            len(leads)
+
     @_settings
     @given(_matrices)
     def test_transpose_invariant(self, m):

@@ -293,6 +293,34 @@ class TestPadicAbs:
             polys.padic_exponent(Fraction(0), 5)
 
 
+def repeated_division_exponent(x, p: int) -> int:
+    """The exponent of p in x by one division per factor: the oracle."""
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+class TestPadicExponent:
+    @settings(max_examples=300)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 101, 2 ** 61 - 1]),
+           st.integers(-300, 300), st.integers(1, 10 ** 40),
+           st.integers(1, 10 ** 40), st.sampled_from([1, -1]))
+    def test_matches_repeated_division(self, p, v, unit_num, unit_den, sign):
+        x = Fraction(sign * unit_num * p ** max(v, 0),
+                     unit_den * p ** max(-v, 0))
+        assert polys.padic_exponent(x, p) == repeated_division_exponent(x, p)
+
+    def test_huge_power_in_few_divisions(self):
+        # one division per factor takes about 1 s on 10^30000
+        t0 = time.perf_counter()
+        assert polys.padic_exponent(10 ** 30000, 5) == 30000
+        assert polys.padic_exponent(Fraction(3, 7 ** 20001), 7) == -20001
+        assert time.perf_counter() - t0 < 0.1
+
+
 class TestReadOffTheNormalForm:
     @_settings
     @given(_dicts.filter(lambda d: any(d.values())), _primes)
