@@ -286,30 +286,31 @@ def taylor_shift(f: Poly, c) -> Poly:
 
 
 def padic_exponent(x, p: int) -> int:
-    """Exponent of p in the nonzero rational (or integer) x."""
+    """Exponent of p in the nonzero rational (or integer) x, in O(log v)
+    divisions: by p twice, by p^2, p^4, ... while they divide, back down."""
     num, den = x.numerator, x.denominator
     if not num:
         raise ZeroValue("p-adic exponent of zero")
-    if p == 2:    # the trailing zero bits
-        return (num & -num).bit_length() - (den & -den).bit_length()
-    v = 0 if num % p else _multiplicity(num, p)    # one small division
-    return v if den % p else v - _multiplicity(den, p)    # in most calls
-
-
-def _multiplicity(n: int, p: int) -> int:
-    """Exponent of p in n, a multiple of p, in O(log v) big divisions: by p,
-    p^2, p^4, ... while they divide, then back down."""
-    v, powers = 0, [p]
+    v = 0 if den % p else -padic_exponent(den, p)
+    if num % p:    # one small division in most calls
+        return v
+    num //= p
+    if num % p:    # and in most of the rest
+        return v + 1
+    num, q, powers = num // p, p * p, [p]
     while True:
-        q, r = divmod(n, powers[-1])
+        quo, r = divmod(num, q)
         if r:
             break
-        n, v = q, v + (1 << (len(powers) - 1))
-        powers.append(powers[-1] * powers[-1])
-    n = r    # holds the fewer than 2^k factors p left, p^(2^k) failing
-    for k in range(len(powers) - 2, -1, -1):
-        q, r = divmod(n, powers[k])
-        n, v = (r, v) if r else (q, v + (1 << k))
+        num = quo
+        powers.append(q)
+        q *= q
+    v += 1 << len(powers)    # q = p^(2^k) failed, k = len(powers): fewer
+    while powers:            # than 2^k factors p are left, all in r < q
+        q = powers.pop()
+        if not r % q:
+            r //= q
+            v += 1 << len(powers)
     return v
 
 
