@@ -34,8 +34,8 @@ from .errors import (
     ZeroSeries,
 )
 from .linalg import Matrix, mat_mul, rank
-from .polys import (Poly, _bits, degree, parse_rational, poly, poly_add,
-                    poly_const, poly_mul, poly_neg)
+from .polys import (Poly, _bits, degree, parse_integer, parse_rational, poly,
+                    poly_add, poly_const, poly_mul, poly_neg)
 from .tate import TateSeries, render_series
 
 
@@ -310,8 +310,8 @@ def cohomology(C: CechComplex):
 
 def _parse_int(token: str, what: str) -> int:
     try:
-        return int(token)
-    except ValueError as exc:
+        return parse_integer(token)
+    except ParseError as exc:
         raise ParseError(f"bad {what} {token!r}") from exc
 
 

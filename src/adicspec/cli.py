@@ -17,7 +17,7 @@ import click
 
 from . import __version__, cech, disc, ordgroup, spectral, tate, valuation
 from .errors import AdicError, MalformedElement, NotPrime, ParseError
-from .polys import parse_rational
+from .polys import parse_integer, parse_rational
 from .valuation import RING_Q, RING_Z, BaseRing, finite_field
 
 
@@ -29,8 +29,8 @@ def _resolve_ring(name: str) -> BaseRing:
         return RING_Q
     if name.startswith("F"):
         try:
-            return finite_field(int(name[1:]))
-        except (ValueError, NotPrime) as exc:
+            return finite_field(parse_integer(name[1:]))
+        except (ParseError, NotPrime) as exc:
             raise ParseError(f"bad ring {name!r}") from exc
     raise ParseError(f"unknown ring {name!r} (expected Z, Q or F<p>)")
 
@@ -131,10 +131,11 @@ def spv(ring_name: str, bound: int, fmt: str) -> None:
         closures[y].append(x)
     rows = []
     for label in model.space.points:
+        v = model.valuations[label]
         rows.append({
             "point": label,
-            "kind": model.valuations[label].kind.value,
-            "support": valuation.render_ideal_descriptor(model.supp_map[label]),
+            "kind": v.kind.value,
+            "support": valuation.render_ideal_descriptor(valuation.support(v)),
             "closure": sorted(closures[label]),
         })
     lines = [f"{len(rows)} points"]
@@ -298,7 +299,7 @@ def _parse_group(text: str) -> ordgroup.Group:
         if head == "trivial":
             return ordgroup.trivial_group()
         if head == "lex":
-            return ordgroup.lex_group(int(rest))
+            return ordgroup.lex_group(parse_integer(rest))
         if head == "posq":
             return ordgroup.pos_rational_group()
         if head == "below":
@@ -337,10 +338,7 @@ def group(op: str, operands, group_text: str, fmt: str) -> None:
     elif op == "pow":
         need(2)
         a = ordgroup.parse_element(G, operands[0])
-        try:
-            n = int(operands[1])
-        except ValueError as exc:
-            raise ParseError(f"bad exponent {operands[1]!r}") from exc
+        n = parse_integer(operands[1])
         text = ordgroup.render_element(ordgroup.group_pow(a, n))
     elif op == "cmp":
         need(2)
@@ -370,14 +368,8 @@ def retract(val_text: str, ideal_text: str, ring_name: str, prime: int,
             fmt: str) -> None:
     """Retraction of a valuation onto its continuous locus."""
     _check_prime(prime)
-    head = val_text.split(":", 1)[0]
-    if head in ("classical", "ball", "below", "above"):
-        v = valuation.disc_point_valuation(disc.parse_point(val_text, prime))
-        ring = v.ring
-    else:
-        ring = _resolve_ring(ring_name)
-        v = valuation.parse_valuation(val_text, ring)
-    I = valuation.parse_ideal(ideal_text, ring)
+    v = _parse_point_or_valuation(val_text, _resolve_ring(ring_name), prime)
+    I = valuation.parse_ideal(ideal_text, v.ring)
     r = valuation.retract(v, I)
     text = valuation.render_valuation(r)
     _emit(fmt, text, {"valuation": val_text, "ideal": ideal_text,

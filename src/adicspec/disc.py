@@ -39,7 +39,8 @@ from .ordgroup import (
     radius_below_group,
     radius_element,
 )
-from .tate import PadicContext, TateSeries, generates_unit_ideal, series_mul
+from .tate import (PadicContext, TateSeries, generates_unit_ideal, parse_series,
+                   render_series, series_mul)
 from .value import ZERO, Value, nonzero, value_le
 
 
@@ -362,7 +363,6 @@ def render_point(x: DiscPoint) -> str:
 
 
 def parse_rational_subset(text: str, p: int) -> RationalSubsetSpec:
-    from .tate import parse_series
     text = text.strip()
     if not (text.startswith("R(") and text.endswith(")")):
         raise ParseError(f"bad rational-subset literal {text!r}")
@@ -375,6 +375,5 @@ def parse_rational_subset(text: str, p: int) -> RationalSubsetSpec:
 
 
 def render_rational_subset(R: RationalSubsetSpec) -> str:
-    from .tate import render_series
     nums = ",".join(render_series(t) for t in R.numerators)
     return f"R({nums};{render_series(R.denominator)})"

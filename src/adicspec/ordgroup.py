@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .polys import parse_rational
+from .polys import parse_integer, parse_rational
 
 LT, EQ, GT = -1, 0, 1
 
@@ -440,7 +440,7 @@ def parse_element(group: Group, text: str) -> GroupElement:
         if mark != expected or parse_rational(radius[:-1]) != group.r:
             raise bad
         q, kpart = body.split("*g^")
-        kexp = int(kpart)
+        kexp = parse_integer(kpart)
         # every comparison folds q*g^k to q*r^k
         _check_power_bits(group.r, kexp, "folded real part with")
         return radius_element(group, parse_rational(q), kexp)

@@ -412,7 +412,7 @@ class _Parser:
             return node
         if self.take("T"):
             return poly_x()
-        if not self.peek().isdigit():
+        if not "0" <= self.peek() <= "9":
             self.error(f"unexpected token {self.peek()!r}")
         num = self.integer()
         if not self.take("/"):
@@ -425,14 +425,11 @@ class _Parser:
     def integer(self) -> int:
         sign = -1 if self.take("-") else 1
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
-        try:
-            return sign * int(self.text[start:self.pos])
-        except ValueError:  # above sys.get_int_max_str_digits() digits
-            raise TooLarge(f"integer literal of {self.pos - start} digits")
+        return sign * parse_integer(self.text[start:self.pos])
 
 
 def parse_poly(text: str) -> Poly:
@@ -441,6 +438,21 @@ def parse_poly(text: str) -> Poly:
     if parser.peek():
         parser.error(f"unexpected token {parser.peek()!r}")
     return result
+
+
+def parse_integer(text: str) -> int:
+    """The int of a literal [-]digits in ASCII, the one form of an integer
+    in the text literals, space around it allowed.  Anything else raises
+    ParseError, more than sys.get_int_max_str_digits() digits TooLarge,
+    naming the literal."""
+    digits = text.strip()
+    if digits.isascii() and digits.removeprefix("-").isdigit():
+        try:
+            return int(digits)
+        except ValueError:  # above sys.get_int_max_str_digits() digits
+            raise TooLarge(f"integer {text[:40]!r} has more than "
+                           f"{sys.get_int_max_str_digits()} digits")
+    raise ParseError(f"bad integer {text[:40]!r}: expected [-]digits")
 
 
 def parse_rational(text: str):

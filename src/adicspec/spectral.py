@@ -20,8 +20,8 @@ from .valuation import (
     PrimeIdealDescriptor,
     RingKind,
     Valuation,
+    ValuationKind,
     padic_valuation,
-    support,
     trivial_valuation,
     value_group,
 )
@@ -128,7 +128,6 @@ def constructible_sets(X: FiniteSpace):
 class SpvModel:
     space: FiniteSpace
     valuations: dict  # label -> Valuation
-    supp_map: dict    # label -> PrimeIdealDescriptor
 
 
 MAX_BOUND = 10000  # largest prime bound spv_enumerate accepts
@@ -176,8 +175,7 @@ def spv_enumerate(ring: BaseRing, bound: int) -> SpvModel:
         space = finite_space(labels, pairs)
     else:
         raise UnsupportedRing(f"no enumeration for {ring.kind}")
-    supp_map = {lab: support(v) for lab, v in vals.items()}
-    return SpvModel(space, vals, supp_map)
+    return SpvModel(space, vals)
 
 
 @dataclass(frozen=True)
@@ -195,27 +193,15 @@ def factor_specialization(m: SpvModel, v_label: str, w_label: str) -> Factorizat
         raise UnknownPoint(f"{v_label}, {w_label}")
     if (w_label, v_label) not in m.space.order:
         raise NotASpecialization(f"{w_label} is not a specialization of {v_label}")
-    v = m.valuations[v_label]
-    w = m.valuations[w_label]
-    if v_label == w_label:
-        G = value_group(v)
-        return FactorizationReport(v, trivial_subgroup(G), full_subgroup(G))
-
-    def shape(label):
-        if label == "|.|_0":
-            return ("triv0", 0)
-        if label.startswith("|.|_0"):
-            return ("triv", int(label[5:]))
-        return ("padic", int(label[4:]))
-
-    sv, sw = shape(v_label), shape(w_label)
-    if sv[0] == "padic":
-        # |.|_0p is the horizontal restriction of |.|_p to the trivial group
-        G = value_group(v)
-        return FactorizationReport(v, trivial_subgroup(G), trivial_subgroup(G))
-    # v is the generic trivial point; the intermediate valuation is |.|_p
-    p = sw[1]
-    v_prime = m.valuations[f"|.|_{p}"]
+    v, w = m.valuations[v_label], m.valuations[w_label]
+    if v_label == w_label or v.kind is ValuationKind.PADIC:
+        # w = v, or w = |.|_0p, the restriction of |.|_p to the trivial group
+        v_prime, H = v, trivial_subgroup
+    else:
+        # v = |.|_0, the quotient of v' = |.|_p by its whole value group
+        v_prime = w if w.kind is ValuationKind.PADIC else \
+            padic_valuation(v.ring, w.supp.p)
+        H = full_subgroup
     G = value_group(v_prime)
-    L = full_subgroup(G) if sw[0] == "padic" else trivial_subgroup(G)
-    return FactorizationReport(v_prime, full_subgroup(G), L)
+    L = full_subgroup(G) if w == v_prime else trivial_subgroup(G)
+    return FactorizationReport(v_prime, H(G), L)

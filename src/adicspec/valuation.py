@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
 
-from . import polys
+from . import disc, polys
 from .errors import (
     CharacteristicGroupNotContained,
     MalformedIdeal,
@@ -72,6 +72,11 @@ class BaseRing:
     def __post_init__(self):
         if self.kind is RingKind.FINITE_FIELD and not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
+
+    def __str__(self) -> str:
+        if self.kind is RingKind.FINITE_FIELD:
+            return f"F{self.p}"
+        return self.kind.value
 
 
 _ORDER_KEY = cmp_to_key(group_cmp)
@@ -206,7 +211,7 @@ def trivial_valuation(ring: BaseRing, supp: PrimeIdealDescriptor) -> Valuation:
 
 def padic_valuation(ring: BaseRing, p: int, rho=None) -> Valuation:
     if ring.kind not in (RingKind.INTEGERS_Z, RingKind.RATIONALS_Q):
-        raise WrongRing("p-adic valuations live on Z or Q here")
+        raise WrongRing(f"p-adic valuations live on Z or Q here, not on {ring}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     rho = Fraction(rho) if rho is not None else Fraction(1, p)
@@ -232,7 +237,6 @@ def value_group(v: Valuation) -> Group:
         return trivial_group()
     if k in (ValuationKind.PADIC, ValuationKind.DEGREE):
         return pos_rational_group()
-    from . import disc
     return disc.value_group_of(v.point)
 
 
@@ -252,7 +256,6 @@ def eval_valuation(v: Valuation, a) -> Value:
         if not num:
             return ZERO
         return nonzero(pos_element(v.rho ** (polys.degree(den) - polys.degree(num))))
-    from . import disc
     return disc.eval_at(v.point, TateSeries(v.point.ctx, a))
 
 
@@ -262,7 +265,6 @@ def support(v: Valuation) -> PrimeIdealDescriptor:
         return v.supp
     if k in (ValuationKind.PADIC, ValuationKind.DEGREE):
         return PrimeIdealDescriptor.zero()
-    from . import disc
     if v.point.kind is disc.PointKind.CLASSICAL:
         gen = polys.poly_sub(polys.poly_x(), polys.poly_const(v.point.center))
         return PrimeIdealDescriptor.poly(gen)
@@ -302,7 +304,6 @@ def equivalent(v: Valuation, w: Valuation) -> bool:
     elif v.kind is ValuationKind.DEGREE:
         result = True
     else:
-        from . import disc
         result = disc.point_eq(v.point, w.point)
     if result:
         probes = default_probes(v.ring)[:10]
@@ -334,7 +335,6 @@ def vertical_quotient(v: Valuation, H: ConvexSubgroup) -> Valuation:
         return trivial_valuation(v.ring, support(v))
     # only a type-5 disc point's radius group has a third convex subgroup,
     # the infinitesimal one, and the quotient by it is the ball point
-    from . import disc
     return disc_point_valuation(disc.height1_generization(v.point))
 
 
@@ -397,48 +397,34 @@ def is_analytic(v: Valuation, I: IdealOfDefinition) -> bool:
     return any(not eval_valuation(v, a).is_zero() for a in I.generators)
 
 
-def in_subbasic(v: Valuation, f, s) -> bool:
-    """Membership in the subbasic open {|f| <= |s| != 0}."""
-    vs = eval_valuation(v, s)
-    if vs.is_zero():
-        return False
-    return value_le(eval_valuation(v, f), vs)
-
-
 def specializes(v: Valuation, w: Valuation) -> bool:
-    """Semi-decision of "v lies in the closure of w".
+    """Decide "v lies in the closure of w", by closed forms.
 
-    Exact closed forms cover the curated models (Spv Z, Spv Q, disc
-    points); otherwise every probe pair (f, s) with v in the subbasic
-    open {|f| <= |s| != 0} must also contain w.
+    The opens {|f| <= |s| != 0} form a subbasis of Spv A, and trivial_P
+    lies in such an open exactly when s is not in P.  So, for w not
+    equivalent to v:
+
+    * w trivial with support P: the closure of w is {u : P is contained
+      in supp u}; the nonzero primes of Z and Q[T] are maximal, so v is
+      in it iff P = (0) or P = supp v.
+    * w = |.|_p: its closure is {|.|_p, |.|_0p}, so v must be trivial
+      with support (p).
+    * v and w disc points: disc_specializes.
+
+    These are complete for the valuations built here: deg on Q(T) is a
+    closed point, and no trivial valuation lies in the closure of a disc
+    point, because {|1| <= |p| != 0} holds the first and not the second.
     """
-    if v.ring != w.ring:
-        raise WrongRing(f"{v.ring} vs {w.ring}")
-    if equivalent(v, w):
+    if equivalent(v, w):  # raises WrongRing for two rings
         return True
-    if v.ring.kind in (RingKind.INTEGERS_Z, RingKind.RATIONALS_Q):
-        return _spv_z_specializes(v, w)
+    if w.kind is ValuationKind.TRIVIAL:
+        return w.supp.kind is IdealKind.ZERO_IDEAL or w.supp == support(v)
+    if w.kind is ValuationKind.PADIC:
+        return v.kind is ValuationKind.TRIVIAL and \
+            v.supp == PrimeIdealDescriptor(IdealKind.PRIME_P, p=w.p)
     if v.kind is ValuationKind.PADIC_POLY and w.kind is ValuationKind.PADIC_POLY:
-        from . import disc
         return disc.disc_specializes(v.point, w.point)
-    probes = default_probes(v.ring)
-    return all(in_subbasic(w, f, s)
-               for f in probes for s in probes if in_subbasic(v, f, s))
-
-
-def _spv_z_specializes(v: Valuation, w: Valuation) -> bool:
-    def shape(u):
-        if u.kind is ValuationKind.PADIC:
-            return ("padic", u.p)
-        if u.supp.kind is IdealKind.ZERO_IDEAL:
-            return ("triv0",)
-        return ("triv", u.supp.p)
-    sv, sw = shape(v), shape(w)
-    if sw == ("triv0",):
-        return True   # the trivial valuation with zero support is generic
-    if sw[0] == "padic":
-        return sv == ("triv", sw[1])  # closure of |.|_p is {|.|_p, |.|_0p}
-    return False      # the |.|_0p are closed points
+    return False
 
 
 # --- literals (CLI interface) ----------------------------------------------
@@ -448,15 +434,15 @@ def parse_valuation(text: str, ring: BaseRing) -> Valuation:
     head, _, rest = text.partition(":")
     try:
         if head == "padic":
-            return padic_valuation(ring, int(rest))
+            return padic_valuation(ring, polys.parse_integer(rest))
         if head == "trivial":
-            n = int(rest)
+            n = polys.parse_integer(rest)
             if n == 0:
                 return trivial_valuation(ring, PrimeIdealDescriptor.zero())
             return trivial_valuation(ring, PrimeIdealDescriptor.prime(n))
         if head == "deg":
             return degree_valuation(polys.parse_rational(rest))
-    except (ValueError, ZeroDivisionError, NotPrime, MalformedValuation) as exc:
+    except (ParseError, NotPrime, MalformedValuation) as exc:
         raise ParseError(f"bad valuation literal {text!r}: {exc}") from exc
     raise ParseError(f"unknown valuation literal {text!r}")
 
@@ -472,7 +458,6 @@ def render_valuation(v: Valuation) -> str:
         return "trivial:poly"
     if v.kind is ValuationKind.DEGREE:
         return f"deg:{v.rho}"
-    from . import disc
     return f"point:{disc.render_point(v.point)}"
 
 
@@ -480,17 +465,16 @@ def parse_ideal(text: str, ring: BaseRing) -> IdealOfDefinition:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"bad ideal literal {text!r}")
+    if ring.kind is RingKind.RATFUNC_Q:
+        raise WrongRing(f"no ideal of definition is read on {ring}")
     gens = []
     for part in text[1:-1].split(","):
-        part = part.strip()
         if ring.kind is RingKind.POLY_OVER_Q:
             gens.append(polys.parse_poly(part))
+        elif ring.kind is RingKind.RATIONALS_Q:
+            gens.append(Fraction(polys.parse_rational(part)))
         else:
-            try:
-                gens.append(Fraction(polys.parse_rational(part))
-                            if ring.kind is RingKind.RATIONALS_Q else int(part))
-            except ValueError as exc:
-                raise ParseError(f"bad ideal generator {part!r}") from exc
+            gens.append(polys.parse_integer(part))
     return IdealOfDefinition(ring, tuple(gens))
 
 

@@ -492,6 +492,17 @@ class TestPresheafText:
         assert time.perf_counter() - t0 < 1
 
 
+
+    @pytest.mark.parametrize("bad", ["\u0665", "1_1", "\u00b2"])
+    @pytest.mark.parametrize("template, good, what", [
+        ("cover {}\ndim 0 1\n", "1", "cover size"),
+        ("cover 1\ndim {} 1\n", "0", "index"),
+        ("cover 1\ndim 0 {}\n", "1", "dimension"),
+    ], ids=["cover", "index", "dim"])
+    def test_integers_are_ascii_digits(self, template, good, what, bad):
+        parse_presheaf_text(template.format(good))
+        with pytest.raises(ParseError, match=f"bad {what}"):
+            parse_presheaf_text(template.format(bad))
 # garbage and hostile presheaf texts: valid texts with lines or single
 # tokens replaced, inserted or deleted, and lines of directives with
 # random tokens, oversized and malformed numbers among them

@@ -252,6 +252,40 @@ class TestRationalLiterals:
         assert run(*args).exit_code == 0
 
 
+def _integer_slots(n: str):
+    """One command line per slot of the CLI that reads an integer; each
+    exits 0 for n = 11."""
+    return [
+        ("eval", "--point", "ball:0,1", "--poly", f"{n}*T", "-p", "5"),
+        ("eval", "--point", "ball:0,1", "--poly", f"T^{n}", "-p", "5"),
+        ("specializes", f"padic:{n}", "trivial:0", "--ring", "Z"),
+        ("specializes", f"trivial:{n}", "trivial:0", "--ring", "Z"),
+        ("retract", "--valuation", "padic:5", "--ideal", f"({n})",
+         "--ring", "Z"),
+        ("spv", "--ring", f"F{n}"),
+        ("group", "height", "--group", f"lex:{n}"),
+        ("group", "pow", "1/2", n, "--group", "posq"),
+        ("group", "inv", f"1*g^{n}@1/2<", "--group", "below:1/2"),
+    ]
+
+
+class TestIntegerLiterals:
+    """Every integer in a literal is [-]digits in ASCII: int() would also
+    read other scripts' digits and underscores."""
+
+    @pytest.mark.parametrize("args", [
+        args for n in ("\u0665", "1_1", "\u00b2") for args in _integer_slots(n)],
+        ids=lambda args: " ".join(args).encode("unicode_escape").decode())
+    def test_other_digits_are_parse_errors(self, args):
+        res = run(*args)
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.startswith("error[parse-error]")
+
+    @pytest.mark.parametrize("args", _integer_slots("11"))
+    def test_ascii_integers_still_read(self, args):
+        assert run(*args).exit_code == 0
+
+
 class TestClassify:
     def test_point(self):
         res = run("classify", "--point", "ball:0,1/3", "-p", "5")
@@ -306,6 +340,16 @@ class TestSpecializes:
     def test_mixed_literals_rejected(self):
         res = run("specializes", "ball:0,1", "padic:5", "--ring", "Z")
         assert res.exit_code == 1
+
+    def test_wrong_ring_names_both_rings(self):
+        res = run("specializes", "deg:1/2", "trivial:0", "--ring", "Q")
+        assert res.exit_code == 1
+        assert res.stderr == "error[wrong-ring]: Q(T) vs Q\n"
+        res = run("specializes", "ball:0,1", "padic:5", "--ring", "Z")
+        assert res.stderr == "error[wrong-ring]: Q[T] vs Z\n"
+        res = run("specializes", "trivial:0", "padic:5", "--ring", "F7")
+        assert res.stderr.startswith("error[wrong-ring]")
+        assert "F7" in res.stderr and "BaseRing(" not in res.stderr
 
 
 class TestCover:
@@ -437,6 +481,25 @@ class TestRetract:
                   "--ring", "Z", "--format", "structured")
         data = json.loads(res.output)
         assert data["retract"] == "trivial:0"
+
+    @pytest.mark.parametrize("head", ["deadend", "type4"])
+    def test_type4_points_refused(self, head):
+        res = run("retract", "--valuation", f"{head}:0", "--ideal", "(5)",
+                  "-p", "5")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error[parse-error]: type-4 dead-end")
+
+    def test_ideal_read_on_the_points_ring(self):
+        res = run("retract", "--valuation", "ball:0,1", "--ideal", "(T, 5)",
+                  "-p", "5")
+        assert res.exit_code == 0 and res.output.strip() == "point:ball:0,1"
+
+    def test_degree_valuation_has_no_ideal_of_definition(self):
+        res = run("retract", "--valuation", "deg:1/2", "--ideal", "(5)",
+                  "--ring", "Q")
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error[wrong-ring]")
+        assert "Q(T)" in res.stderr and "BaseRing(" not in res.stderr
 
     def test_non_integer_generator_parse_error(self):
         res = run("retract", "--valuation", "padic:5", "--ideal", "(1/2)",

@@ -1,8 +1,9 @@
 """Source rules for src/adicspec, checked on the syntax tree: no floats
 (every result is exact), no bare ValueError (every error is an AdicError
-with a code), no assert (checks must survive python -O), and no call that
+with a code), no assert (checks must survive python -O), no call that
 changes a process-wide interpreter limit (an in-process caller, such as a
-test run or the CLI under CliRunner, would inherit it)."""
+test run or the CLI under CliRunner, would inherit it), and no import
+inside a function (a module's dependencies are read from its top)."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,8 @@ def _findings(path: Path):
                 out.append(f"{where}: raise ValueError")
         elif isinstance(node, ast.Assert) and (module, func) not in ASSERT_ALLOWED:
             out.append(f"{where}: assert in {func}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and func is not None:
+            out.append(f"{where}: import in {func}")
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -78,6 +81,7 @@ def test_the_rules_catch_each_kind(tmp_path):
     bad.write_text("import sys\n"
                    "from sys import setrecursionlimit\n"
                    "def f(x):\n"
+                   "    from math import gcd\n"
                    "    assert x\n"
                    "    y = float(x) + 0.5\n"
                    "    sys.set_int_max_str_digits(0)\n"
@@ -85,7 +89,7 @@ def test_the_rules_catch_each_kind(tmp_path):
                    "    raise ValueError('no')\n")
     found = _findings(bad)
     assert [f.split(": ", 1)[1] for f in found] == [
-        "assert in f", "float() call", "float literal 0.5",
+        "import in f", "assert in f", "float() call", "float literal 0.5",
         "set_int_max_str_digits() call", "setrecursionlimit() call",
         "raise ValueError"]
 

@@ -375,6 +375,18 @@ class TestTextForm:
             with pytest.raises(TooLarge):
                 parse_poly(text)
 
+    def test_integer_grammar(self):
+        assert [polys.parse_integer(t) for t in ("0", "-17", " 42 ")] == \
+            [0, -17, 42]
+        for text in ("", "-", "+5", "1_1", "\u0665", "\u00b2", "1.0", "--1", "1 2"):
+            with pytest.raises(ParseError):
+                polys.parse_integer(text)
+        with pytest.raises(TooLarge):
+            polys.parse_integer("9" * 5000)
+        for text in ("\u00b2", "T^\u00b2", "\u0665*T", "T^\u0663"):
+            with pytest.raises(ParseError):
+                parse_poly(text)
+
     def test_long_sum(self):
         # one normalisation for the whole sum, and T^i in closed form:
         # this 27 kB literal took 3.4 s to parse when each + renormalised

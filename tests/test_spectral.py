@@ -33,6 +33,8 @@ from adicspec.valuation import (
     equivalent,
     finite_field,
     horizontal_restrict,
+    padic_valuation,
+    support,
     vertical_quotient,
 )
 
@@ -128,16 +130,10 @@ class TestSpvEnumerate:
         m = spv_enumerate(RING_Z, 10)
         assert closure(m.space, {"|.|_5"}) == frozenset({"|.|_5", "|.|_05"})
 
-    def test_supp_map_consistent(self):
-        from adicspec.valuation import support
-        m = spv_enumerate(RING_Z, 10)
-        for lab, v in m.valuations.items():
-            assert m.supp_map[lab] == support(v)
-
     def test_supp_monotone(self):
         m = spv_enumerate(RING_Z, 10)
         for w, v in m.space.order:
-            sw, sv = m.supp_map[w], m.supp_map[v]
+            sw, sv = support(m.valuations[w]), support(m.valuations[v])
             # supp(v) contained in supp(w) when w is in the closure of v
             if sv.kind is IdealKind.PRIME_P:
                 assert sw == sv
@@ -175,6 +171,20 @@ class TestFactorization:
                           m.valuations["|.|_0"])
         assert equivalent(horizontal_restrict(rep.v_prime, rep.L),
                           m.valuations["|.|_05"])
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_Q], ids=["Z", "Q"])
+    def test_intermediate_is_the_models_padic_point(self, ring):
+        m = spv_enumerate(ring, 7)
+        for w_label in m.space.points:
+            if w_label == "|.|_0":
+                continue
+            rep = factor_specialization(m, "|.|_0", w_label)
+            p = int(w_label.removeprefix("|.|_").removeprefix("0"))
+            assert rep.v_prime == padic_valuation(ring, p) \
+                == m.valuations[f"|.|_{p}"]
+            assert is_full_subgroup(rep.H)
+            assert equivalent(horizontal_restrict(rep.v_prime, rep.L),
+                              m.valuations[w_label])
 
     def test_not_a_specialization(self):
         m = spv_enumerate(RING_Z, 5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicspec import polys
+from adicspec.disc import classical, gauss_point, type5_below
 from adicspec.errors import (
     CharacteristicGroupNotContained,
     MalformedIdeal,
@@ -31,6 +32,7 @@ from adicspec.ordgroup import (
 )
 from adicspec.valuation import (
     RING_Q,
+    RING_QRAT,
     RING_QT,
     RING_Z,
     IdealKind,
@@ -301,7 +303,101 @@ class TestContinuity:
             is_analytic(v, parse_ideal("(5)", RING_Q))
 
 
+def in_subbasic(v, f, s) -> bool:
+    """Membership in the subbasic open {|f| <= |s| != 0}."""
+    vs = eval_valuation(v, s)
+    return not vs.is_zero() and value_le(eval_valuation(v, f), vs)
+
+
+def subbasic_witness(v, w, family):
+    """An open {|f| <= |s| != 0} with f, s in the family that holds v and
+    not w, or None when every such open holding v also holds w."""
+    return next(((f, s) for f in family for s in family
+                 if in_subbasic(v, f, s) and not in_subbasic(w, f, s)), None)
+
+
+def _const(c):
+    return polys.poly_const(c)
+
+
+def _spv_pool(ring_name: str):
+    """(valuations, probe family) on one ring.  The family holds 1, the
+    constants p and 1/p of each pool prime (1/p only where it is a ring
+    element) and the generator of each support; on Q(T) it is 1, T and
+    1/T.  It separates every pair of the pool that is not a
+    specialization.  That is why every disc point with a radius has
+    radius 1: these opens cannot tell a ball of radius 1/p from the
+    classical point at its centre."""
+    zero = PrimeIdealDescriptor.zero()
+    if ring_name == "Z":
+        vals = [trivial_valuation(RING_Z, zero)]
+        for p in (2, 3, 5):
+            vals += [padic_valuation(RING_Z, p),
+                     trivial_valuation(RING_Z, PrimeIdealDescriptor.prime(p))]
+        return vals, [1, 2, 3, 5]
+    if ring_name == "Q":
+        vals = [trivial_valuation(RING_Q, zero)]
+        vals += [padic_valuation(RING_Q, p) for p in (2, 3, 5)]
+        return vals, [Fraction(1)] + [Fraction(q) for p in (2, 3, 5)
+                                      for q in (p, Fraction(1, p))]
+    if ring_name.startswith("F"):
+        p = int(ring_name[1:])
+        return [trivial_valuation(finite_field(p), zero)], list(range(1, p))
+    if ring_name == "Q(T)":
+        one, t = _const(1), polys.poly_x()
+        vals = [trivial_valuation(RING_QRAT, zero),
+                degree_valuation(Fraction(1, 2)), degree_valuation(Fraction(1, 3))]
+        return vals, [(one, one), (t, one), (one, t)]
+    p = int(ring_name.removeprefix("Q[T]@"))
+    gens = [polys.parse_poly(g) for g in ("T", "T - 1", "T^2 + 1")]
+    vals = [trivial_valuation(RING_QT, zero)]
+    vals += [trivial_valuation(RING_QT, PrimeIdealDescriptor.poly(g)) for g in gens]
+    vals += [disc_point_valuation(x) for x in (
+        gauss_point(p), type5_below(p, 0, 1), type5_below(p, 1, 1),
+        classical(p, 0), classical(p, 1))]
+    return vals, [_const(1), _const(p), _const(Fraction(1, p))] + gens
+
+
+SPV_POOLS = ["Z", "Q", "F2", "F3", "F5", "Q(T)", "Q[T]@5", "Q[T]@7"]
+
+
 class TestSpecializes:
+    @pytest.mark.parametrize("ring_name", SPV_POOLS)
+    def test_matches_the_subbasic_oracle(self, ring_name):
+        vals, family = _spv_pool(ring_name)
+        for v in vals:
+            for w in vals:
+                witness = subbasic_witness(v, w, family)
+                assert specializes(v, w) == (witness is None), \
+                    (render_valuation(v), render_valuation(w), witness)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_trivial_is_not_in_the_closure_of_a_disc_point(self, p):
+        v = trivial_valuation(RING_QT, PrimeIdealDescriptor.poly(polys.poly_x()))
+        w = disc_point_valuation(gauss_point(p))
+        assert not specializes(v, w)
+        assert not in_subbasic(w, _const(1), _const(p))
+        assert in_subbasic(v, _const(1), _const(p))
+
+    def test_classical_point_lies_over_its_support(self):
+        v = disc_point_valuation(classical(5, Fraction(1, 2)))
+        w = trivial_valuation(RING_QT, support(v))
+        assert specializes(v, w) and not specializes(w, v)
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_Q], ids=["Z", "Q"])
+    @pytest.mark.parametrize("q", [2, 5, 11])
+    def test_nine_literal_pairs_on_z_and_q(self, ring, q):
+        # trivial:<q> on Q is not a valuation, but the CLI reads it, and
+        # its answers are pinned with the rest
+        names = ["trivial:0", f"padic:{q}", f"trivial:{q}"]
+        vals = {n: parse_valuation(n, ring) for n in names}
+        closure = {"trivial:0": set(names),
+                   f"padic:{q}": {f"padic:{q}", f"trivial:{q}"},
+                   f"trivial:{q}": {f"trivial:{q}"}}
+        for x in names:
+            for y in names:
+                assert specializes(vals[x], vals[y]) == (x in closure[y]), (x, y)
+
     def test_closure_of_padic(self):
         assert specializes(TRIV5_Z, P5_Z)
 
@@ -319,7 +415,6 @@ class TestSpecializes:
         assert not specializes(TRIV0_Z, P5_Z)
 
     def test_disc_points(self):
-        from adicspec.disc import gauss_point, type5_below
         v = disc_point_valuation(type5_below(5, 0, 1))
         w = disc_point_valuation(gauss_point(5))
         assert specializes(v, w)
@@ -332,6 +427,10 @@ class TestLiterals:
             v = parse_valuation(text, RING_Z)
             assert render_valuation(v) == text
         assert render_valuation(parse_valuation("deg:1/2", RING_Z)) == "deg:1/2"
+
+    def test_ring_names(self):
+        rings = (RING_Z, RING_Q, finite_field(5), RING_QT, RING_QRAT)
+        assert [str(r) for r in rings] == ["Z", "Q", "F5", "Q[T]", "Q(T)"]
 
     def test_ideals(self):
         I = parse_ideal("(5)", RING_Z)
