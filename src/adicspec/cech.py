@@ -32,6 +32,7 @@ from .errors import (
     TooLarge,
     TruncationTooSmall,
     ZeroSeries,
+    check_work,
 )
 from .linalg import Matrix, mat_mul, rank
 from .polys import (Poly, _bits, degree, parse_integer, parse_rational, poly,
@@ -46,13 +47,6 @@ from .tate import TateSeries, render_series
 # the full complex of n sets walks n^(n+1) index tuples: 280k in 0.3 s
 # for n = 6, 5.8 million for n = 7
 MAX_COVER = 6
-# largest estimated work of d^(n-1), the largest differential: its dim C^n
-# rows hold up to n + 1 blocks of at most m entries (m the largest dim
-# F(U_S)), eliminating each costs about m + 64 entry operations with
-# fill-in, and each operation grows with the bytes of the largest entry or
-# scale.  At the cap dense random one-byte restrictions on two sets, the
-# slowest shape measured, take 0.8 s (Python 3.11, shared 2-vCPU host)
-MAX_COMPLEX_WORK = 8 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ class FinitePresheaf:
     integer).  Construction checks all of this and that every square of
     restrictions commutes, so the Cech complexes of a presheaf are
     complexes by the simplicial identities.  Covers of more than MAX_COVER
-    sets and complexes of more than MAX_COMPLEX_WORK raise TooLarge.
+    sets and complexes priced above MAX_WORK raise TooLarge.
     """
 
     n: int
@@ -94,10 +88,8 @@ class FinitePresheaf:
                                             f"{dims[Sp]} x {dims[S]} Matrix")
         big = max([scale, *(abs(x) for mat in res.values()
                             for row in mat.rows for x in row.values())])
-        work = price * ((big.bit_length() + 7) // 8)
-        if work > MAX_COMPLEX_WORK:
-            raise TooLarge(f"a Cech complex of estimated work {work} exceeds "
-                           f"{MAX_COMPLEX_WORK}")
+        check_work(price * ((big.bit_length() + 7) // 8),
+                   "cech: the complexes of a presheaf")
         # every square commutes, so all chains of restrictions between two
         # index sets give the same composite
         for S in _subsets(n):
@@ -114,8 +106,11 @@ class FinitePresheaf:
 
 
 def _dims_price(n: int, dims: dict) -> int:
-    """Check n and dims; the MAX_COMPLEX_WORK price of the presheaf per
-    byte of its largest scaled entry or scale."""
+    """Check n and dims; the price of the presheaf's complexes per byte of
+    its largest scaled entry or scale: 125 per entry operation of d^(n-1),
+    whose dim C^n rows of up to n + 1 blocks of m = max(dims) entries take
+    about m + 64 each (the slowest shape measured, dense random one-byte
+    restrictions on two sets, takes 0.8 s at MAX_WORK)."""
     if type(n) is not int or n < 1:
         raise NonFunctorialPresheaf(f"a cover of {n!r} sets")
     if n > MAX_COVER:
@@ -127,7 +122,7 @@ def _dims_price(n: int, dims: dict) -> int:
         raise NonFunctorialPresheaf(f"dims must map the nonempty subsets "
                                     f"of {set(indices)} to naturals")
     m = max(dims.values())
-    return (n + 1) * m * (m + 64) * sum(
+    return 125 * (n + 1) * m * (m + 64) * sum(
         d * _surjections(n + 1, len(S)) for S, d in dims.items())
 
 
@@ -148,7 +143,8 @@ def _surjections(k: int, s: int) -> int:
 def presheaf(n: int, dims: dict, res: dict) -> FinitePresheaf:
     """The presheaf of these dimensions and one-step restrictions, given as
     rows of rationals and stored scaled to integers; a common denominator
-    whose bytes alone exceed MAX_COMPLEX_WORK raises TooLarge as it grows."""
+    whose bytes alone price the complexes above MAX_WORK raises TooLarge
+    as it grows."""
     dims = {frozenset(S): d for S, d in dims.items()}
     price = _dims_price(n, dims)
     res = {(frozenset(S), frozenset(Sp)):
@@ -162,9 +158,9 @@ def presheaf(n: int, dims: dict, res: dict) -> FinitePresheaf:
     for x in [x for m in res.values() for row in m for x in row]:
         if scale % x.denominator:
             scale = lcm(scale, x.denominator)
-            if price * ((scale.bit_length() + 7) // 8) > MAX_COMPLEX_WORK:
-                raise TooLarge(f"a common denominator of {scale.bit_length()}"
-                               f" bits exceeds {MAX_COMPLEX_WORK} units")
+            check_work(price * ((scale.bit_length() + 7) // 8),
+                       f"cech: a common denominator of "
+                       f"{scale.bit_length()} bits")
     return FinitePresheaf(n, dims, scale, {
         (S, Sp): Matrix.from_rows([[x.numerator * (scale // x.denominator)
                                     for x in row] for row in m],
@@ -515,11 +511,6 @@ class ExactnessReport:
 # lambda has 2N + 2 nonzero entries; check 3's Laurent products, linear in
 # N, set the cost: N = 1000 takes 0.6 to 0.8 s in a fresh process
 MAX_WINDOW = 1000
-# largest estimated work of check 3, N * (deg f + 1) * coefficient bits,
-# the bits rounded up to whole 64-bit words: at this cap the slowest shape
-# measured, a dense f of degree 6 at N = 1000, takes about 0.9 s (Python
-# 3.11, shared 2-vCPU host)
-MAX_LAURENT_WORK = 5 * 10 ** 5
 
 
 def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
@@ -535,7 +526,7 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     holds exactly, so every (f - z)-multiple in the window has an
     explicit preimage under the restricted map lambda'; random multiples
     are decomposed and re-checked.  N above MAX_WINDOW, or a window
-    whose estimated work is above MAX_LAURENT_WORK, raises TooLarge.
+    whose estimated work is above MAX_WORK, raises TooLarge.
     """
     if N > MAX_WINDOW:
         raise TooLarge(f"window N = {N} exceeds {MAX_WINDOW}")
@@ -545,10 +536,10 @@ def check_laurent_exactness(f: TateSeries, N: int) -> ExactnessReport:
     deg_f = degree(fpoly)
     if N < deg_f + 2:
         raise TruncationTooSmall(f"need N >= deg(f) + 2 = {deg_f + 2}")
-    work = N * (deg_f + 1) * 64 * (_bits(fpoly) // 64 + 1)
-    if work > MAX_LAURENT_WORK:
-        raise TooLarge(f"window N = {N} for f of degree {deg_f} has "
-                       f"estimated work {work}, more than {MAX_LAURENT_WORK}")
+    # check 3, at 2000 per coefficient word and degree: a dense f of degree
+    # 6 at N = 1000, the slowest shape measured, takes 0.9 s at MAX_WORK
+    check_work(2000 * N * (deg_f + 1) * 64 * (_bits(fpoly) // 64 + 1),
+               f"cech: Laurent window N = {N} for f of degree {deg_f}")
 
     # lambda over the monomial basis: column j is the image z^j of
     # (z^j, 0) and column N + 1 + j the image -z^{-j} of (0, eta^j), for

@@ -306,7 +306,7 @@ def _parse_group(text: str) -> ordgroup.Group:
             return ordgroup.radius_below_group(parse_rational(rest))
         if head == "above":
             return ordgroup.radius_above_group(parse_rational(rest))
-    except (ValueError, ZeroDivisionError, MalformedElement) as exc:
+    except MalformedElement as exc:
         raise ParseError(f"bad group literal {text!r}") from exc
     raise ParseError(f"unknown group literal {text!r}")
 

@@ -28,8 +28,8 @@ from .errors import (
     NotTypeFive,
     NotUnitIdeal,
     ParseError,
-    TooLarge,
     ZeroSeries,
+    check_work,
 )
 from .ordgroup import (
     Group,
@@ -42,13 +42,6 @@ from .ordgroup import (
 from .tate import (PadicContext, TateSeries, generates_unit_ideal, parse_series,
                    render_series, series_mul)
 from .value import ZERO, Value, nonzero, value_le
-
-
-# largest estimated work, (N + 1) * N * b * (1 + b // 64) with b the bits of
-# s and t, of eval_at's comparisons at degree N and radius s/t: at the 2e-11
-# to 9e-11 s per unit measured (degrees 40 to 10000, radii of 1 to 4300
-# digits; Python 3.11, shared 2-vCPU host) this cap takes under 1 s
-MAX_KEY_WORK = 10 ** 10
 
 
 class PointKind(Enum):
@@ -155,23 +148,31 @@ def eval_at(x: DiscPoint, f: TateSeries) -> Value:
     f is recentred at _smallest_center(x) as content * sum e_n X^n, where
     |a_n| r^n = |content|_p p^(-v_n) (s/t)^n, v_n = v_p(e_n): the term k
     beats the best term n < k when p^(v_n) s^(k-n) beats p^(v_k) t^(k-n),
-    in integers.  Work above MAX_KEY_WORK raises TooLarge before the shift.
+    in integers.  Work above MAX_WORK raises TooLarge before it starts.
     """
     if x.ctx != f.ctx:
         raise ContextMismatch(f"{x.ctx} vs {f.ctx}")
     p = x.ctx.p
+    N = polys.degree(f.poly)
     if x.kind is PointKind.CLASSICAL:
+        # Horner's scheme on N * bits(u)-bit integers, and a gcd quadratic
+        # in N * bits(w): at most 1 ns per unit at degrees 60 to 1000 and
+        # centres of 1 to 8000 digits
+        u, w = x.center.numerator, x.center.denominator
+        b = u.bit_length() + 2 * w.bit_length()
+        check_work(N * N * b * (b + 64) // 2048,
+                   f"disc: evaluation of degree {N} at a {b}-bit centre")
         v = polys.poly_eval(f.poly, x.center)
         if v == 0:
             return ZERO
         return nonzero(pos_element(polys.padic_abs(v, p)))
     if f.is_zero():
         return ZERO
-    s, t, N = x.radius.numerator, x.radius.denominator, polys.degree(f.poly)
+    s, t = x.radius.numerator, x.radius.denominator
     bits = s.bit_length() + t.bit_length()
-    if (N + 1) * N * bits * (1 + bits // 64) > MAX_KEY_WORK:
-        raise TooLarge(f"comparing the terms of degree {N} at a radius of "
-                       f"{bits} bits exceeds {MAX_KEY_WORK} units of work")
+    # 1/10 per unit, rounded up: 0.02 to 0.09 ns each up to degree 10000
+    check_work(-(-(N + 1) * N * bits * (1 + bits // 64) // 10),
+               f"disc: the terms of degree {N} at a {bits}-bit radius")
     shifted = polys.taylor_shift(f.poly, _smallest_center(x))
     coeffs = shifted.coeffs
     # g slightly below r: the least index wins ties; above r: the greatest
@@ -349,7 +350,7 @@ def parse_point(text: str, p: int) -> DiscPoint:
             if head == "below":
                 return type5_below(p, c, r)
             return type5_above(p, c, r)
-    except (ValueError, ZeroDivisionError, MalformedPoint) as exc:
+    except (ValueError, MalformedPoint) as exc:
         raise ParseError(f"bad point literal {text!r}: {exc}") from exc
     raise ParseError(f"unknown point kind {head!r}")
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the one work limit.
 
 Every error carries a stable ``code`` string which the CLI maps to exit
 status 1 and prints verbatim, so scripts can match on it.
@@ -95,6 +95,17 @@ class ParseError(AdicError):
 
 class TooLarge(AdicError):
     code = "too-large"
+
+
+# the most work one step of any layer starts, in units of about 1 ns (each
+# cost per unit measured on Python 3.11, shared 2-vCPU host): about 1 s
+MAX_WORK = 10 ** 9
+
+
+def check_work(units: int, what: str) -> None:
+    """Refuse the step `what`, "layer: step", if estimated above MAX_WORK."""
+    if units > MAX_WORK:
+        raise TooLarge(f"{what}: estimated work {units} exceeds {MAX_WORK}")
 
 
 class MalformedElement(AdicError):

@@ -435,7 +435,7 @@ def parse_element(group: Group, text: str) -> GroupElement:
         if k is GroupKind.POS_RATIONAL:
             return pos_element(parse_rational(text))
         body, radius = text.rsplit("@", 1)
-        mark = radius[-1]
+        mark = radius[-1:]
         expected = "<" if k is GroupKind.RADIUS_BELOW else ">"
         if mark != expected or parse_rational(radius[:-1]) != group.r:
             raise bad
@@ -444,7 +444,7 @@ def parse_element(group: Group, text: str) -> GroupElement:
         # every comparison folds q*g^k to q*r^k
         _check_power_bits(group.r, kexp, "folded real part with")
         return radius_element(group, parse_rational(q), kexp)
-    except (ValueError, ZeroDivisionError, MalformedElement) as exc:
+    except (ValueError, MalformedElement) as exc:
         raise bad from exc
 
 

@@ -17,24 +17,10 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 
-from .errors import ParseError, TooLarge, ZeroValue
+from .errors import ParseError, TooLarge, ZeroValue, check_work
 
 # largest degree, and exponent, the text parser builds: storage is dense
 MAX_DEGREE = 10000
-# largest (degree + 1) * coefficient bits, estimated, of a power or product
-# the parser expands: at this cap the slowest shape measured, the square of
-# a dense 11-term polynomial's 120th power, takes about 1 s (Python 3.11)
-MAX_EXPANSION_BITS = 2_000_000
-# largest number of coefficient products in one convolution the parser
-# runs, terms(f) * (deg g + 1) for f * g: at the 65 to 85 ns each measured
-# (Python 3.11, shared 2-vCPU host) this cap takes under 1 s
-MAX_PRODUCT_WORK = 10 ** 7
-# largest estimated work of one Taylor shift, deg^2 * (1 + bits * words /
-# 1024) with bits the size of its integer coefficients at the end and
-# words the 64-bit words of the integer shift: at the 1.2e-8 to 2.2e-8 s
-# per unit measured for degrees 800 to 3000 (same host) this cap takes
-# about 1 s
-MAX_SHIFT_WORK = 5 * 10 ** 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,8 +242,9 @@ def taylor_shift(f: Poly, c) -> Poly:
     f(X + c) = content/w^N * sum e_k w^k X^k.  The shift by the integer u
     is Horner's scheme on integers (von zur Gathen and Gerhard, "Fast
     algorithms for Taylor shifts", ISSAC 1997): no binomials and no
-    rational arithmetic.  A shift whose estimated work is above
-    MAX_SHIFT_WORK raises TooLarge before it starts; c = 0 is no shift.
+    rational arithmetic.  A shift priced above MAX_WORK, 20 (12 to 22 ns) per
+    unit of N^2 (1 + bits * words / 1024), bits those of the final integers
+    and words the 64-bit words of u, raises TooLarge first; c = 0 is no shift.
     The powers of w are running products.
     """
     if type(c) is not Fraction and type(c) is not int:
@@ -268,9 +255,8 @@ def taylor_shift(f: Poly, c) -> Poly:
     n, ub, coeffs = len(f.coeffs) - 1, u.bit_length(), f.coeffs
     bits = (max(max(coeffs), -min(coeffs)).bit_length()
             + n * (ub + w.bit_length()))
-    if n * n * (1024 + bits * (1 + ub // 64)) > 1024 * MAX_SHIFT_WORK:
-        raise TooLarge(f"Taylor shift of degree {n} by {c} exceeds "
-                       f"{MAX_SHIFT_WORK} units of work")
+    check_work(-(-20 * n * n * (1024 + bits * (1 + ub // 64)) // 1024),
+               f"polys: Taylor shift of degree {n} by {c}")
     e, wk = list(coeffs), 1
     for k in range(n - 1, -1, -1):      # F = sum E_k w^(N-k) Y^k
         wk *= w
@@ -331,21 +317,21 @@ def _bits(f: Poly, terms: int = 1) -> int:
     return (terms * top - 1).bit_length()
 
 
-def _check_size(deg: int, bits: int, work: int, what: str):
-    """Refuse, before it is built, an expansion too large to build or
-    whose largest convolution has more than MAX_PRODUCT_WORK products."""
-    if deg > MAX_DEGREE or (deg + 1) * bits > MAX_EXPANSION_BITS:
-        raise TooLarge(f"{what} of degree {deg} with {bits}-bit coefficients "
-                       f"exceeds degree {MAX_DEGREE} or {MAX_EXPANSION_BITS} bits")
-    if work > MAX_PRODUCT_WORK:
-        raise TooLarge(f"{what} of degree {deg} needs {work} coefficient "
-                       f"products, more than {MAX_PRODUCT_WORK}")
+def _check_size(deg: int, bits: int, products: int, what: str):
+    """Refuse, before it is built, an expansion above MAX_DEGREE or priced
+    above MAX_WORK: 500 per bit of its size, (deg + 1) * bits (the slowest
+    shape, a dense 11-term polynomial's 120th power squared, takes 1 s),
+    or 100 per product of its largest convolution (65 to 85 ns each)."""
+    if deg > MAX_DEGREE:
+        raise TooLarge(f"{what} of degree {deg} exceeds {MAX_DEGREE}")
+    check_work(max(500 * (deg + 1) * bits, 100 * products),
+               f"polys: {what} of degree {deg} with {bits}-bit coefficients")
 
 
 class _Parser:
     """Recursive-descent parser for + - * ^ with parentheses, rational
     literals and the variable T.  Degrees and exponents above MAX_DEGREE
-    and sizes above MAX_EXPANSION_BITS are refused before expanding."""
+    and expansions priced above MAX_WORK are refused before expanding."""
 
     def __init__(self, text: str):
         self.text, self.pos = text, 0

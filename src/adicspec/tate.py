@@ -146,14 +146,10 @@ def newton_polygon(f: TateSeries) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = Fraction(y2 - y1, x2 - x1)
-        if slopes and slopes[-1][0] == s:
-            slopes[-1] = (s, slopes[-1][1] + (x2 - x1))
-        else:
-            slopes.append((s, x2 - x1))
-    return NewtonPolygon(tuple(hull), tuple(slopes))
+    # the hull test pops collinear points, so the slopes strictly increase
+    slopes = tuple((Fraction(y2 - y1, x2 - x1), x2 - x1)
+                   for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple(hull), slopes)
 
 
 def generates_unit_ideal(gens) -> bool:

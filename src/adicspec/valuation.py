@@ -303,8 +303,8 @@ def equivalent(v: Valuation, w: Valuation) -> bool:
         result = v.p == w.p  # rho is irrelevant to the equivalence class
     elif v.kind is ValuationKind.DEGREE:
         result = True
-    else:
-        result = disc.point_eq(v.point, w.point)
+    else:    # disc points at two primes are distinct valuations of Q[T]
+        result = v.p == w.p and disc.point_eq(v.point, w.point)
     if result:
         probes = default_probes(v.ring)[:10]
         for a in probes:
@@ -409,7 +409,8 @@ def specializes(v: Valuation, w: Valuation) -> bool:
       in it iff P = (0) or P = supp v.
     * w = |.|_p: its closure is {|.|_p, |.|_0p}, so v must be trivial
       with support (p).
-    * v and w disc points: disc_specializes.
+    * v and w disc points: disc_specializes at one prime; at two, p for v,
+      {|1| <= |p| != 0} holds w and not v.
 
     These are complete for the valuations built here: deg on Q(T) is a
     closed point, and no trivial valuation lies in the closure of a disc
@@ -423,7 +424,7 @@ def specializes(v: Valuation, w: Valuation) -> bool:
         return v.kind is ValuationKind.TRIVIAL and \
             v.supp == PrimeIdealDescriptor(IdealKind.PRIME_P, p=w.p)
     if v.kind is ValuationKind.PADIC_POLY and w.kind is ValuationKind.PADIC_POLY:
-        return disc.disc_specializes(v.point, w.point)
+        return v.p == w.p and disc.disc_specializes(v.point, w.point)
     return False
 
 
@@ -455,7 +456,7 @@ def render_valuation(v: Valuation) -> str:
             return "trivial:0"
         if v.supp.kind is IdealKind.PRIME_P:
             return f"trivial:{v.supp.p}"
-        return "trivial:poly"
+        return f"trivial:{render_ideal_descriptor(v.supp)}"
     if v.kind is ValuationKind.DEGREE:
         return f"deg:{v.rho}"
     return f"point:{disc.render_point(v.point)}"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from adicspec import cech
 from adicspec.cech import (
-    MAX_COMPLEX_WORK,
     FinitePresheaf,
     alternating_subcomplex,
     build_complex,
@@ -34,6 +33,7 @@ from adicspec.cech import (
     render_presheaf_text,
 )
 from adicspec.errors import (
+    MAX_WORK,
     AdicError,
     NonFunctorialPresheaf,
     NotAComplex,
@@ -385,9 +385,9 @@ class TestPresheafDoor:
         assert time.perf_counter() - t0 < 0.05
 
     def test_complex_work_cap(self):
-        # one set of dimension m costs 2 * m * (m + 64) * m: C^1 has m rows
-        # of two blocks, each m wide, and every entry fits in a byte
-        assert 2 * 140 * 204 * 140 <= MAX_COMPLEX_WORK < 2 * 141 * 205 * 141
+        # one set of dimension m costs 125 * 2 * m * (m + 64) * m: C^1 has m
+        # rows of two blocks, each m wide, and every entry fits in a byte
+        assert 250 * 140 * 204 * 140 <= MAX_WORK < 250 * 141 * 205 * 141
         assert cohomology(build_complex(constant_presheaf(1, 140))) == [140]
         with pytest.raises(TooLarge):
             constant_presheaf(1, 141)

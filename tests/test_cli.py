@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adicspec import __version__, spectral, valuation
 from adicspec.cli import main
@@ -185,6 +187,9 @@ class TestHostileSizes:
          "-p", "3"),
         ("eval", "--point", "ball:0,1", "--poly",
          "(" + "+".join(f"T^{i}" for i in range(1, 4001)) + ")^2", "-p", "5"),
+        # Horner's scheme at a 4000-digit centre: 7 s to 9 s of work
+        ("eval", "--point", "classical:" + "7" * 4000, "--poly", "T^400+1",
+         "-p", "5"),
     ])
     def test_too_large_within_a_second(self, args):
         t0 = time.perf_counter()
@@ -207,6 +212,15 @@ class TestHostileSizes:
         res = run("eval", "--point", "ball:0,1", "--poly", "(T^5000+1)^2",
                   "-p", "5")
         assert (res.exit_code, res.stdout) == (0, "1\n")
+
+    @pytest.mark.parametrize("point, poly, code", [
+        # the README's boundaries of the expansion and the shift price
+        ("ball:0,1", "(T+1)^1413", 0), ("ball:0,1", "(T+1)^1414", 1),
+        ("ball:1,1/3", "T^3000", 1)])
+    def test_readme_boundaries(self, point, poly, code):
+        res = run("eval", "--point", point, "--poly", poly, "-p", "5")
+        assert res.exit_code == code
+        assert res.stderr.startswith("error[too-large]") == (code == 1)
 
 
 def _rational_slots(x: str):
@@ -396,6 +410,11 @@ class TestCechLaurent:
         assert "error[too-large]" in res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("f, code", [("(T+1)^6", 0), ("(T+1)^7", 1)])
+    def test_readme_window_boundary(self, f, code):
+        res = run("cech-laurent", "--f", f, "-N", "1000", "-p", "5")
+        assert res.exit_code == code
+
     def test_window_priced_by_degree(self):
         # N = 1000 is allowed, but not with a degree-900 f: 8 s of work
         t0 = time.perf_counter()
@@ -449,6 +468,15 @@ class TestGroup:
             res = run("group", "mul", *args)
             assert res.exit_code == 2
             assert "error[parse-error]" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ("mul", "1*g^1@", "1*g^1@"), ("pow", "padic:*@", "T"),
+        ("cmp", "1*g^1@<", "1*g^1@1/2<")])
+    def test_radius_element_without_a_radius_parse_error(self, args):
+        res = run("group", *args, "--group", "below:1/2")
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error[parse-error]")
 
     @pytest.mark.parametrize("group", ["below:2", "below:0", "above:1",
                                        "above:-1/2"])
@@ -507,6 +535,100 @@ class TestRetract:
         assert res.exit_code == 2
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error[parse-error]")
+
+
+# literal strategies, one per kind of slot: mostly well-formed, so that a
+# draw reaches past each parser's first check, with fuzzed rational parts
+# and loose pieces of every grammar
+_PIECES = ("0", "1", "5", "1/2", "-", "/", "*", "^", "@", "<", ">", "(",
+           ")", ",", ";", ":", " ", "T", "g", "+", "ball:", "padic:", "R(",
+           "9" * 30)
+_junk = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
+_nums = st.one_of(
+    st.sampled_from(("0", "1", "2", "5", "-1", "1/2", "1/5", "3/4", "25/7")),
+    st.lists(st.sampled_from(("0", "1", "5", "-", "/", "9" * 30)),
+             max_size=4).map("".join))
+_polys = st.one_of(
+    st.sampled_from(("T", "0", "1", "5*T+1", "T^2-5", "(T+1)^3", "1/2*T")),
+    st.lists(st.sampled_from(("T", "1", "5", "1/2", "+", "-", "*", "^", "2",
+                              "(", ")")), min_size=1, max_size=8).map("".join))
+_points = st.one_of(
+    st.sampled_from(("classical:1/2", "ball:0,1", "ball:1/3,1/2",
+                     "below:1,1/5", "above:0,1/2")),
+    st.builds("{}:{}{}".format,
+              st.sampled_from(("classical", "ball", "below", "above")),
+              _nums, st.one_of(st.just(""), _nums.map(",".__add__))), _junk)
+_valuations = st.one_of(st.builds("{}:{}".format, st.sampled_from(
+    ("padic", "trivial", "deg")), _nums), _points)
+_subsets = st.one_of(st.builds("R({},{};{})".format, _polys, _polys, _polys),
+                     _junk)
+_ideals = st.builds("({})".format, st.one_of(_nums, _polys))
+_groups = st.one_of(st.sampled_from(("trivial", "posq")), st.builds(
+    "{}:{}".format, st.sampled_from(("below", "above", "lex")), _nums), _junk)
+_elements = st.one_of(
+    _nums, st.builds("({},{})".format, _nums, _nums),
+    st.builds("{}*g^{}@{}{}".format, _nums, _nums, _nums,
+              st.sampled_from(("<", ">", ""))), _junk)
+_primes = st.sampled_from(("2", "3", "5", "7", "5", "4"))
+_rings = st.sampled_from(("Z", "Q", "F5", "F4", "Q[T]"))
+_GROUP_ARITY = {"mul": 2, "pow": 2, "cmp": 2, "inv": 1, "height": 0,
+                "subgroups": 0}
+
+
+def _exits_with_a_code(args):
+    res = run(*args)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code in (0, 1, 2)
+
+
+_fuzz = settings(max_examples=80)
+
+
+class TestLiteralFuzz:
+    """Any literal ends in an answer or a coded error: exit 0, 1 or 2 and
+    no exception but SystemExit."""
+
+    @_fuzz
+    @given(st.sampled_from(sorted(_GROUP_ARITY)), _elements, _elements,
+           _groups)
+    @example("mul", "1*g^1@", "1*g^1@", "below:1/2")
+    @example("pow", "padic:*@", "T", "below:1/2")
+    def test_group(self, op, a, b, group):
+        _exits_with_a_code(("group", op, *(a, b)[:_GROUP_ARITY[op]],
+                            "--group", group))
+
+    @_fuzz
+    @given(_points, _polys, _primes)
+    def test_eval(self, point, f, p):
+        _exits_with_a_code(("eval", "--point", point, "--poly", f, "-p", p))
+
+    @_fuzz
+    @given(_points, _subsets, _primes)
+    def test_member(self, point, subset, p):
+        _exits_with_a_code(("member", "--point", point, "--subset", subset,
+                            "-p", p))
+
+    @_fuzz
+    @given(_valuations, _valuations, _rings, _primes)
+    def test_specializes(self, x, y, ring, p):
+        _exits_with_a_code(("specializes", x, y, "--ring", ring, "-p", p))
+
+    @_fuzz
+    @given(_valuations, _ideals, _rings, _primes)
+    def test_retract(self, v, ideal, ring, p):
+        _exits_with_a_code(("retract", "--valuation", v, "--ideal", ideal,
+                            "--ring", ring, "-p", p))
+
+    @_fuzz
+    @given(st.lists(_polys, min_size=1, max_size=3), _primes)
+    def test_cover(self, gens, p):
+        kind = "laurent" if len(gens) == 1 else "rational"
+        _exits_with_a_code(("cover", *gens, "--kind", kind, "-p", p))
+
+    @_fuzz
+    @given(_points, _primes)
+    def test_classify(self, point, p):
+        _exits_with_a_code(("classify", "--point", point, "-p", p))
 
 
 class TestTypedErrorsExitTwo:

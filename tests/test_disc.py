@@ -224,6 +224,18 @@ class TestEvaluation:
             eval_at(ball(5, 0, Fraction(1, int("5" * 1000))), f)
         assert time.perf_counter() - t0 < 0.1
 
+    def test_classical_evaluation_priced_before_horner(self):
+        # the golden corpus and the benchmark evaluate at centres with
+        # numerators under 1000 and denominators under 200, of degree at
+        # most 140; T^400 + 1 at a 4000-digit centre took 7 s to 9 s
+        c, f = Fraction(-999, 199), series(5, {k: 1 for k in range(141)})
+        assert eval_at(classical(5, c), f) == \
+            nonzero(pos_element(polys.padic_abs(polys.poly_eval(f.poly, c), 5)))
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            eval_at(classical(5, int("7" * 4000)), parse_series("T^400+1", 5))
+        assert time.perf_counter() - t0 < 0.1
+
     def test_recentred_at_the_smallest_center(self, monkeypatch):
         # at p = 3, -7/5 = 1 mod 3: D(-7/5, 1/3) = D(1, 1/3), the closed disc
         # of radius 1 is D(0, 1) and the open one D(1, 1-); modulo 9 the

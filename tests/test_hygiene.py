@@ -2,8 +2,9 @@
 (every result is exact), no bare ValueError (every error is an AdicError
 with a code), no assert (checks must survive python -O), no call that
 changes a process-wide interpreter limit (an in-process caller, such as a
-test run or the CLI under CliRunner, would inherit it), and no import
-inside a function (a module's dependencies are read from its top)."""
+test run or the CLI under CliRunner, would inherit it), no import inside
+a function (a module's dependencies are read from its top), and no work
+cap but errors.MAX_WORK (every refusal for work is one check_work)."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,12 @@ ASSERT_ALLOWED = {
 
 # sys functions that change a limit of the whole interpreter
 PROCESS_GLOBAL = {"set_int_max_str_digits", "setrecursionlimit"}
+
+
+def _work_cap(module: str, name: str) -> bool:
+    """A module-level name that would be a second work limit."""
+    return (name.endswith("_WORK") and (module, name) != ("errors", "MAX_WORK")
+            or name == "MAX_EXPANSION_BITS")
 
 
 def _called_name(call: ast.Call):
@@ -55,6 +62,10 @@ def _findings(path: Path):
             out.append(f"{where}: assert in {func}")
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and func is not None:
             out.append(f"{where}: import in {func}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and func is None:
+            out.extend(f"{where}: work cap {n.id}" for n in ast.walk(node)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                       and _work_cap(module, n.id))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -86,12 +97,17 @@ def test_the_rules_catch_each_kind(tmp_path):
                    "    y = float(x) + 0.5\n"
                    "    sys.set_int_max_str_digits(0)\n"
                    "    setrecursionlimit(10 ** 6)\n"
-                   "    raise ValueError('no')\n")
+                   "    raise ValueError('no')\n"
+                   "MAX_SHIFT_WORK = MAX_EXPANSION_BITS = 5\n"
+                   "MAX_WORK, MAX_DEGREE = 10 ** 9, 10000\n"
+                   "KEY_WORK: int = 1\n")
     found = _findings(bad)
     assert [f.split(": ", 1)[1] for f in found] == [
         "import in f", "assert in f", "float() call", "float literal 0.5",
         "set_int_max_str_digits() call", "setrecursionlimit() call",
-        "raise ValueError"]
+        "raise ValueError", "work cap MAX_SHIFT_WORK",
+        "work cap MAX_EXPANSION_BITS", "work cap MAX_WORK",
+        "work cap KEY_WORK"]
 
 
 def _unused_imports(path: Path):

@@ -74,6 +74,24 @@ class TestFiniteSpace:
         X = finite_space(["*"], [])
         assert is_kolmogorov(X) and is_sober(X)
 
+    def test_two_points_in_each_others_closure_are_not_sober(self):
+        X = finite_space(["x", "y"], [("x", "y"), ("y", "x")])
+        assert closure(X, {"x"}) == closure(X, {"y"}) == {"x", "y"}
+        assert not is_sober(X)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_sober_exactly_when_kolmogorov(self, n):
+        # Hochster: a finite space is sober iff it is T0; every relation on
+        # n points that is a preorder is checked
+        points = tuple(range(n))
+        pairs = [(x, y) for x in points for y in points if x != y]
+        for mask in range(1 << len(pairs)):
+            rel = {(x, x) for x in points} | {
+                pr for i, pr in enumerate(pairs) if mask >> i & 1}
+            if all((x, z) in rel for x, y in rel for y2, z in rel if y == y2):
+                X = FiniteSpace(points, frozenset(rel))
+                assert is_sober(X) == is_kolmogorov(X)
+
     def test_constructible_counts(self):
         assert constructible_sets(finite_space(["*"], []))[0] == 2
         chain = finite_space("abc", [("a", "b"), ("b", "c")])

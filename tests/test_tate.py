@@ -190,6 +190,12 @@ class TestNewtonPolygon:
     def test_constant(self):
         assert newton_polygon(parse_series("1", 5)).slopes == ()
 
+    def test_collinear_points_make_one_slope(self):
+        # the hull drops the collinear (1, 1), so no two slopes are equal
+        np_ = newton_polygon(parse_series("1+5*T+25*T^2", 5))
+        assert np_.vertices == ((0, 0), (2, 2))
+        assert np_.slopes == ((Fraction(1), 2),)
+
     def test_zero_rejected(self):
         with pytest.raises(ZeroSeries):
             newton_polygon(series(5, {}))

@@ -420,6 +420,16 @@ class TestSpecializes:
         assert specializes(v, w)
         assert not specializes(w, v)
 
+    def test_disc_points_at_two_primes(self):
+        # distinct valuations of Q[T]: {|1| <= |p| != 0} holds the point at
+        # the other prime and not the one at p, either way round
+        g = {p: disc_point_valuation(gauss_point(p)) for p in (5, 7)}
+        for p, q in ((5, 7), (7, 5)):
+            assert not equivalent(g[p], g[q])
+            assert not specializes(g[p], g[q])
+            assert in_subbasic(g[q], _const(1), _const(p))
+            assert not in_subbasic(g[p], _const(1), _const(p))
+
 
 class TestLiterals:
     def test_round_trip(self):
@@ -427,6 +437,12 @@ class TestLiterals:
             v = parse_valuation(text, RING_Z)
             assert render_valuation(v) == text
         assert render_valuation(parse_valuation("deg:1/2", RING_Z)) == "deg:1/2"
+
+    def test_trivial_on_the_polynomial_ring_names_its_generator(self):
+        v = disc_point_valuation(classical(5, 1))
+        w = vertical_quotient(v, full_subgroup(value_group(v)))
+        assert w.kind is ValuationKind.TRIVIAL
+        assert render_valuation(w) == "trivial:(T - 1)"
 
     def test_ring_names(self):
         rings = (RING_Z, RING_Q, finite_field(5), RING_QT, RING_QRAT)
